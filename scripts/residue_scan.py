@@ -8,7 +8,6 @@ Examples:
 """
 
 import argparse
-from fractions import Fraction
 from math import gcd
 
 from npoly import catalog, diagonal
@@ -38,7 +37,6 @@ def main():
     family = catalog.make(args.family, parse_params(args.params))
     ds = diagonal.DiagonalSimplex.from_support(family.support)
     res = diagonal.ordinary_residues(ds)
-    phi = sum(1 for m in range(1, res.modulus + 1) if gcd(m, res.modulus) == 1)
 
     per_class = {}
     tested = ordinary = 0
@@ -55,7 +53,7 @@ def main():
     print(f"family {family.name} {dict(family.parameters)}")
     print(f"largest invariant factor d_n = {res.modulus}")
     print(f"predicted ordinary classes mod d_n: {set(res.classes)}")
-    print(f"predicted density mu/phi = {Fraction(res.mu, phi)}")
+    print(f"predicted density mu/phi = {res.density}")
     print()
     print("residue  ordinary/tested")
     for residue in sorted(per_class):
@@ -64,7 +62,7 @@ def main():
         print(f"  {residue:4d}{marker}   {o}/{t}")
     print()
     print(f"overall: {ordinary}/{tested} = {ordinary / tested:.4f} "
-          f"vs predicted {float(Fraction(res.mu, phi)):.4f}")
+          f"vs predicted {float(res.density):.4f}")
 
 
 if __name__ == "__main__":

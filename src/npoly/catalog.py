@@ -120,7 +120,10 @@ def _bi_kloosterman(params):
     points += tuple(tuple(-c for c in _unit(i, n)) for i in range(n))
     points += (tuple(-c for c in u), tuple(v))
     support = pt.Support(n, tuple(dict.fromkeys(points)))
-    facts = [("lfunction_degree", sum(u) + sum(v) + 2**n - 2)]
+    facts = []
+    degree = _bi_kloosterman_degree(n, u, v)
+    if degree is not None:
+        facts.append(("lfunction_degree", degree))
     if all(c == 1 for c in u) and all(c == 1 for c in v):
         facts.append(("denominator", 1))
         if n == 2:
@@ -131,6 +134,24 @@ def _bi_kloosterman(params):
         if n <= 3:
             facts.append(("dstar", 1))
     return support, tuple(facts)
+
+
+def _bi_kloosterman_degree(n, u, v):
+    """Normalized volume of conv(+-e_i, -u, v), or None outside the proven case.
+
+    The cross-polytope conv(+-e_i) has volume 2^n, and a point x beyond its
+    unimodular facet s.x = 1 (s in {1,-1}^n) adds a pyramid of volume s.x - 1.
+    The caps of v and -u add up when no facet seen from -u is seen from v or
+    shares a ridge (differs in one sign) with one: -u then sees no new face.
+    """
+    signs = list(itertools.product((1, -1), repeat=n))
+    seen_v = [s for s in signs if pt._dot(s, v) > 1]
+    seen_u = [s for s in signs if -pt._dot(s, u) > 1]
+    for s in seen_u:
+        if any(sum(a != b for a, b in zip(s, t)) <= 1 for t in seen_v):
+            return None
+    return (2**n + sum(pt._dot(s, v) - 1 for s in seen_v)
+            + sum(-pt._dot(s, u) - 1 for s in seen_u))
 
 
 def _box(params):

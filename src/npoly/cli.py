@@ -132,11 +132,16 @@ def resolve_support(doc: dict) -> tuple[polytope.Support, dict]:
         support = polytope.Support(n, tuple(points))
         echo = {"n": n, "support": [_fmt_point(p) for p in points]}
     if "coefficients" in doc:
-        echo["coefficients"] = [str(c) for c in doc["coefficients"]]
+        coefficients = doc["coefficients"]
+        if not isinstance(coefficients, list):
+            raise InputError("'coefficients' must be a list of integers")
+        echo["coefficients"] = [str(_as_int(c, "coefficient")) for c in coefficients]
     return support, echo
 
 
 def _require_prime(p: int) -> int:
+    if p >= primes.DETERMINISTIC_BOUND:
+        raise NotCoprime(f"p must be below {primes.DETERMINISTIC_BOUND} to be proven prime")
     if not primes.is_prime(p):
         raise NotCoprime(f"{p} is not prime")
     return p
@@ -163,7 +168,7 @@ def cmd_hodge(support: polytope.Support, echo: dict) -> dict:
         "facets": [
             {
                 "normal": [_fmt_rational(c) for c in f.normal],
-                "denominator": str(f.local_denominator),
+                "denominator": str(f.b),
                 "support_indices": list(f.vertex_indices),
             }
             for f in poly.facets_away_from_origin
@@ -213,14 +218,13 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
 def cmd_ordinary_classes(support: polytope.Support, echo: dict) -> dict:
     ds = _diagonal_simplex(support)
     res = diagonal.ordinary_residues(ds)
-    phi = sum(1 for m in range(1, res.modulus + 1) if gcd(m, res.modulus) == 1)
     return {
         "command": "ordinary-classes",
         "input": echo,
         "largest_invariant_factor": str(res.modulus),
         "classes": [str(c) for c in res.classes],
         "mu": str(res.mu),
-        "density": _fmt_rational(Fraction(res.mu, phi)),
+        "density": _fmt_rational(res.density),
     }
 
 
@@ -275,7 +279,6 @@ def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
     ds = _diagonal_simplex(support)
     dn = ds.largest_invariant_factor
     res = diagonal.ordinary_residues(ds)
-    phi = sum(1 for m in range(1, dn + 1) if gcd(m, dn) == 1)
     rows = []
     ordinary_count = 0
     tested = 0
@@ -302,7 +305,7 @@ def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
         "summary": {
             "tested": str(tested),
             "ordinary": str(ordinary_count),
-            "predicted_density": _fmt_rational(Fraction(res.mu, phi)),
+            "predicted_density": _fmt_rational(res.density),
             "ordinary_classes": [str(c) for c in res.classes],
         },
     }

@@ -176,17 +176,20 @@ def collapse_step(vset, chosen) -> tuple[tuple[LatticePoint, ...], ...]:
     chart = pt.AffineChart(pts)
     local = {p: chart.to_local(p) for p in pts}
     rest_local = [local[p] for p in rest]
-    if pt.in_hull(rest_local, local[chosen]):
-        raise DegenerateInput("chosen point is not a vertex of the hull")
+    # a lower-dimensional remainder cannot contain the chosen point
     if pt.affine_rank(rest_local) != n - 1:
         raise DegenerateInput("removing the chosen vertex drops the dimension")
+    rest_facets = pt.affine_facets(rest_local)
+    if pt._satisfies(rest_facets, local[chosen]):
+        raise DegenerateInput("chosen point is not a vertex of the hull")
     pieces = [rest]
-    for a, b in pt.affine_facets(rest_local):
+    for a, b in rest_facets:
         if pt._dot(a, local[chosen]) <= b:
             continue  # facet not visible from the removed vertex
-        cone = [q for q in rest_local if pt._dot(a, q) == b] + [local[chosen]]
-        piece = tuple(p for p in pts if pt.in_hull(cone, local[p]))
-        pieces.append(piece)
+        cone_facets = pt.affine_facets(
+            [q for q in rest_local if pt._dot(a, q) == b] + [local[chosen]]
+        )
+        pieces.append(tuple(p for p in pts if pt._satisfies(cone_facets, local[p])))
     return tuple(pieces)
 
 
@@ -197,9 +200,7 @@ def _valid_choices(pts, n):
     out = []
     for p in pts:
         others = [local[q] for q in pts if q != p]
-        if pt.in_hull(others, local[p]):
-            continue
-        if pt.affine_rank(others) == n - 1:
+        if pt.affine_rank(others) == n - 1 and not pt.in_hull(others, local[p]):
             out.append(p)
     return out
 

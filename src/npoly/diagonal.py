@@ -48,11 +48,13 @@ class OrdinaryVerdict:
 
 @dataclass(frozen=True)
 class ResidueClassification:
-    """Residues m mod d_n whose action preserves the norm, and their count."""
+    """Residues m mod d_n whose action preserves the norm, their count mu,
+    and their density mu/phi(d_n) among the units mod d_n."""
 
     modulus: int
     classes: tuple[int, ...]
     mu: int
+    density: Fraction
 
 
 @dataclass(frozen=True)
@@ -276,13 +278,9 @@ def ordinary_residues(ds: DiagonalSimplex) -> ResidueClassification:
     to det M acts exactly as p mod d_n does.
     """
     dn = ds.largest_invariant_factor
-    stable = []
-    for m in range(1, dn + 1):
-        if gcd(m, dn) != 1:
-            continue
-        if all(m_action(e, m).norm == e.norm for e in ds.group):
-            stable.append(m)
-    return ResidueClassification(dn, tuple(stable), len(stable))
+    units = [m for m in range(1, dn + 1) if gcd(m, dn) == 1]
+    stable = tuple(m for m in units if all(m_action(e, m).norm == e.norm for e in ds.group))
+    return ResidueClassification(dn, stable, len(stable), Fraction(len(stable), len(units)))
 
 
 def denominator_divides(ds: DiagonalSimplex) -> DenominatorRelation:

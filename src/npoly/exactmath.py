@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import DegenerateInput, DegenerateMatrix
 
@@ -327,13 +326,3 @@ def lp_min_sum(generators, u) -> Fraction | None:
         if best is None or total < best:
             best = total
     return best
-
-
-def primitive_vector(v) -> LatticePoint:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    if g <= 1:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)

@@ -123,19 +123,18 @@ def affine_facets(points) -> list[tuple[LatticePoint, int]]:
             b = -b
         else:
             continue
-        g = 0
-        for c in a:
-            g = gcd(g, abs(c))
-        a = tuple(c // g for c in a)
-        b = b // g
-        found[(a, b)] = True
+        g = gcd(*a)
+        found[(tuple(c // g for c in a), b // g)] = True
     return sorted(found)
 
 
+def _satisfies(facets, x) -> bool:
+    return all(_dot(a, x) <= b for a, b in facets)
+
+
 def in_hull(points, x) -> bool:
-    """Exact membership of x in the convex hull of the given points."""
-    lifted = [tuple(p) + (1,) for p in points]
-    return xm.lp_min_sum(lifted, tuple(x) + (1,)) is not None
+    """Exact membership of x in the hull of full-dimensional lattice points."""
+    return _satisfies(affine_facets(points), x)
 
 
 def _bounding_box(points):
@@ -150,8 +149,10 @@ def _bounding_box(points):
 
 
 def hull_lattice_points(points) -> list[LatticePoint]:
-    """All lattice points of the convex hull, by bounding-box scan."""
-    return sorted(u for u in itertools.product(*_bounding_box(points)) if in_hull(points, u))
+    """All lattice points of a full-dimensional hull, by bounding-box scan."""
+    box = _bounding_box(points)
+    facets = affine_facets(points)
+    return sorted(u for u in itertools.product(*box) if _satisfies(facets, u))
 
 
 def interior_lattice_points(points) -> list[LatticePoint]:
@@ -193,9 +194,12 @@ def triangulate(points) -> list[tuple[LatticePoint, ...]]:
 
 
 def normalized_volume(points) -> int:
-    """n! times the Euclidean volume of the hull, an exact integer."""
+    """n! times the Euclidean volume of the hull, an exact integer (1 for a point)."""
+    simplices = triangulate(points)
+    if len(simplices[0]) == 1:
+        return 1
     total = 0
-    for simplex in triangulate(points):
+    for simplex in simplices:
         m = xm.IntMatrix.from_columns([_sub(p, simplex[0]) for p in simplex[1:]])
         total += abs(xm.determinant(m))
     return total
@@ -231,11 +235,20 @@ class Support:
 
 @dataclass(frozen=True)
 class Facet:
-    """Codimension-1 face away from the origin, as the hyperplane e.x = 1."""
+    """Codimension-1 face away from the origin, on the hyperplane a.x = b.
 
-    normal: tuple[Fraction, ...]
-    local_denominator: int
+    a is primitive and b > 0, so b is the facet's denominator and the
+    lattice distance of the hyperplane from the origin.
+    """
+
+    a: LatticePoint
+    b: int
     vertex_indices: tuple[int, ...]
+
+    @property
+    def normal(self) -> tuple[Fraction, ...]:
+        """The facet equation in the form e.x = 1."""
+        return tuple(Fraction(c, self.b) for c in self.a)
 
 
 @dataclass(frozen=True)
@@ -365,24 +378,21 @@ class NewtonPolyhedron:
     def in_cone(self, u) -> bool:
         return all(_dot(g, u) >= 0 for g in self.cone_normals)
 
-    def _weight_by_facets(self, u) -> Fraction | None:
+    def _scaled_weight(self, u) -> int | None:
+        """D*w(u), an integer; None when u is outside the cone."""
         if not self.in_cone(u):
             return None
-        if all(c == 0 for c in u):
-            return Fraction(0)
-        w = max(_dot(f.normal, u) for f in self.facets_away_from_origin)
-        return Fraction(w)
+        d = self.denominator
+        return max(_dot(f.a, u) * (d // f.b) for f in self.facets_away_from_origin)
 
     def weight(self, u) -> Fraction | None:
         """Smallest c >= 0 with u in c*hull; None when u is outside the cone.
 
-        Computed from the facet equations, cross-checked in debug mode
-        against the independent linear program over the support.
+        Computed from the integer facet equations; the property tests check
+        it against the independent linear program over the support.
         """
-        u = tuple(int(c) for c in u)
-        w = self._weight_by_facets(u)
-        assert w == xm.lp_min_sum(self.support.points, u)
-        return w
+        k = self._scaled_weight(tuple(int(c) for c in u))
+        return None if k is None else Fraction(k, self.denominator)
 
     def hodge_data(self) -> HodgeData:
         """Counts of lattice points by weight and the resulting lower polygon.
@@ -396,23 +406,13 @@ class NewtonPolyhedron:
         n = self.dim
         d = self.denominator
         kmax = n * d
-        verts = list(self.support.points) + [(0,) * n]
-        los = [n * min(p[i] for p in verts) for i in range(n)]
-        his = [n * max(p[i] for p in verts) for i in range(n)]
-        size = 1
-        for lo, hi in zip(los, his):
-            size *= hi - lo + 1
-        if size > ENUMERATION_LIMIT:
-            raise DegenerateInput(f"enumeration box of {size} points is too large")
-        ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+        dilated = [tuple(n * c for c in p) for p in self.support.points] + [(0,) * n]
+        box = _bounding_box(dilated)  # refuse an oversized box before allocating
         w_counts = {k: 0 for k in range(kmax + 1)}
-        for u in itertools.product(*ranges):
-            w = self._weight_by_facets(u)
-            if w is None or w > n:
-                continue
-            scaled = w * d
-            assert scaled.denominator == 1
-            w_counts[int(scaled)] += 1
+        for u in itertools.product(*box):
+            k = self._scaled_weight(u)
+            if k is not None and k <= kmax:
+                w_counts[k] += 1
         h_counts = {}
         for k in range(kmax + 1):
             h = sum(
@@ -439,72 +439,50 @@ class NewtonPolyhedron:
         """
         u = tuple(int(c) for c in u)
         u2 = tuple(int(c) for c in u2)
-        w1 = self._weight_by_facets(u)
-        w2 = self._weight_by_facets(u2)
-        if w1 is None or w2 is None:
+        k1 = self._scaled_weight(u)
+        k2 = self._scaled_weight(u2)
+        if k1 is None or k2 is None:
             raise DegenerateInput("cofaciality needs both points inside the cone")
-        if w1 == 0 or w2 == 0:
+        if k1 == 0 or k2 == 0:
             raise DegenerateInput("cofaciality is not defined at the origin")
+        d = self.denominator
         shared = any(
-            _dot(f.normal, u) == w1 and _dot(f.normal, u2) == w2
+            _dot(f.a, u) * (d // f.b) == k1 and _dot(f.a, u2) * (d // f.b) == k2
             for f in self.facets_away_from_origin
         )
-        assert shared == (self._weight_by_facets(_add(u, u2)) == w1 + w2)
+        assert shared == (self._scaled_weight(_add(u, u2)) == k1 + k2)
         return shared
 
 
-def _cone_facet_normals(points, n: int) -> tuple[LatticePoint, ...]:
-    if n == 1:
-        pos = any(p[0] > 0 for p in points)
-        neg = any(p[0] < 0 for p in points)
-        if pos and neg:
-            return ()
-        return ((1,),) if pos else ((-1,),)
-    found = {}
-    for subset in itertools.combinations(points, n - 1):
-        g = cross_normal(subset, n)
-        if all(c == 0 for c in g):
-            continue
-        side = [_dot(g, p) for p in points]
-        if all(s >= 0 for s in side):
-            found[xm.primitive_vector(g)] = True
-        elif all(s <= 0 for s in side):
-            found[xm.primitive_vector(tuple(-c for c in g))] = True
-    return tuple(sorted(found))
-
-
 def build(support: Support) -> NewtonPolyhedron:
-    """Newton polyhedron of a support: away-facets, denominator, volume.
+    """Newton polyhedron of a support: away-facets, denominator, volume, cone.
 
-    Away-facets are found by brute force: every n-subset of support points
-    that is linearly independent determines a candidate hyperplane e.x = 1,
-    kept iff the whole support lies on its origin side.
+    Everything comes from one facet enumeration of the hull of the support
+    and the origin. Facets a.x <= b with b > 0 avoid the origin; those with
+    b = 0 bound the cone. Coning each away-facet from the origin gives a
+    pyramid of lattice height b, so the normalized volume is the sum of b
+    times the facet's own normalized volume.
     """
     n = support.dim
     pts = support.points
-    facets = {}
-    for subset in itertools.combinations(range(len(pts)), n):
-        rows = [pts[i] for i in subset]
-        m = xm.IntMatrix.from_rows(rows)
-        if xm.determinant(m) == 0:
+    away = []
+    cone = []
+    for a, b in affine_facets(list(pts) + [(0,) * n]):
+        if b == 0:
+            cone.append(tuple(-c for c in a))
             continue
-        e = xm.solve_unique(m, (1,) * n)
-        values = [_dot(e, p) for p in pts]
-        if any(v > 1 for v in values):
-            continue
-        if e not in facets:
-            incident = tuple(i for i, v in enumerate(values) if v == 1)
-            denom = lcm(*(c.denominator for c in e))
-            facets[e] = Facet(e, denom, incident)
-    if not facets:
-        raise NotFullDimensional("no codimension-1 face avoids the origin")
-    ordered = tuple(facets[e] for e in sorted(facets))
-    denominator = lcm(*(f.local_denominator for f in ordered))
-    volume = normalized_volume(list(pts) + [(0,) * n])
+        incident = tuple(i for i, p in enumerate(pts) if _dot(a, p) == b)
+        away.append(Facet(a, b, incident))
+    away.sort(key=lambda f: f.normal)
+    volume = 0
+    for f in away:
+        face = [pts[i] for i in f.vertex_indices]
+        chart = AffineChart(face)
+        volume += f.b * normalized_volume([chart.to_local(p) for p in face])
     return NewtonPolyhedron(
         support=support,
-        facets_away_from_origin=ordered,
-        denominator=denominator,
+        facets_away_from_origin=tuple(away),
+        denominator=lcm(*(f.b for f in away)),
         normalized_volume=volume,
-        cone_normals=_cone_facet_normals(pts, n),
+        cone_normals=tuple(sorted(cone)),
     )

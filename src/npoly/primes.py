@@ -1,11 +1,14 @@
 """Deterministic Miller-Rabin primality testing and prime enumeration."""
 
-# This witness set is deterministic for n < 3.3 * 10**24, far beyond the
-# scan ranges used here.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases decide primality for every n below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017);
+# the first 12 are fooled by 318665857834031151167461.
+DETERMINISTIC_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic for n < DETERMINISTIC_BOUND."""
     if n < 2:
         return False
     for p in _WITNESSES:

@@ -16,6 +16,7 @@ CASES = [
     ("bi_kloosterman", {"n": 2, "u": [1, 1], "v": [1, 1]}),
     ("bi_kloosterman", {"n": 2, "u": [2, 1], "v": [1, 1]}),
     ("bi_kloosterman", {"n": 3, "u": [1, 1, 1], "v": [1, 1, 1]}),
+    ("bi_kloosterman", {"n": 3, "u": [1, 1, 2], "v": [1, 1, 1]}),
     ("box", {"dims": [1, 1]}),
     ("box", {"dims": [2, 1]}),
     ("dilated_simplex", {"n": 2, "d": 2, "D": 1}),

@@ -99,6 +99,24 @@ class TestDiagonal:
         code, _, _ = run_cli(capsys, ["diagonal", path, "-p", "4"])
         assert code == 4
 
+    def test_strong_pseudoprime_to_twelve_bases(self, tmp_path, capsys):
+        # 399165290221 * 798330580441 passes the first 12 prime bases
+        path = write_doc(tmp_path, MONOMIAL_3)
+        code, _, err = run_cli(
+            capsys, ["diagonal", path, "-p", "318665857834031151167461"]
+        )
+        assert code == 4
+        assert "not prime" in err
+
+    def test_prime_beyond_deterministic_bound(self, tmp_path, capsys):
+        # the bound itself fools all 13 bases
+        path = write_doc(tmp_path, MONOMIAL_3)
+        code, _, err = run_cli(
+            capsys, ["diagonal", path, "-p", "3317044064679887385961981"]
+        )
+        assert code == 4
+        assert "3317044064679887385961981" in err
+
 
 class TestOrdinaryClasses:
     def test_monomial_six(self, tmp_path, capsys):
@@ -274,6 +292,14 @@ class TestInputHandling:
         code, out, _ = run_cli(capsys, ["hodge", path, "--format", "json"])
         assert code == 0
         assert json.loads(out)["input"]["coefficients"] == ["1"]
+
+        for bad in ({"a": 1}, [1.5]):
+            doc["coefficients"] = bad
+            path = write_doc(tmp_path, doc)
+            code, out, err = run_cli(capsys, ["hodge", path, "--format", "json"])
+            assert code == 5
+            assert out == ""
+            assert "coefficient" in err
 
     def test_text_format_default(self, tmp_path, capsys):
         path = write_doc(tmp_path, MONOMIAL_3)

@@ -89,7 +89,7 @@ class TestWeight:
         poly = pt.build(KLOOSTERMAN_2)
         for x in range(-4, 5):
             for y in range(-4, 5):
-                facet_value = poly._weight_by_facets((x, y))
+                facet_value = poly.weight((x, y))
                 lp_value = xm.lp_min_sum(KLOOSTERMAN_2.points, (x, y))
                 assert facet_value == lp_value
 

@@ -139,8 +139,11 @@ class TestWeightFunction:
             n = poly.dim
             for _ in range(20):
                 u = tuple(self.rng.randint(-4, 4) for _ in range(n))
-                assert poly._weight_by_facets(u) == xm.lp_min_sum(
-                    poly.support.points, u
+                lp = xm.lp_min_sum(poly.support.points, u)
+                assert poly.weight(u) == lp
+                # the integer facet route: D*w(u) is exactly an integer
+                assert poly._scaled_weight(u) == (
+                    None if lp is None else lp * poly.denominator
                 )
 
 
@@ -201,17 +204,20 @@ class TestIndependentOracles:
         self.rng = random.Random(4242)
 
     def test_membership_consistency(self):
-        # facet data + cone membership must reproduce LP hull membership
+        # facet data + cone membership must reproduce LP hull membership:
+        # u is in the hull iff (u, 1) is a nonnegative combination of the
+        # lifted generators (p, 1)
         for _ in range(5):
             n = self.rng.randint(2, 3)
             support = random_support(self.rng, n, self.rng.randint(0, 2))
             poly = pt.build(support)
-            generators = list(support.points) + [(0,) * n]
+            lifted = [tuple(p) + (1,) for p in support.points] + [(0,) * n + (1,)]
             for _ in range(25):
                 u = tuple(self.rng.randint(-3, 3) for _ in range(n))
                 w = poly.weight(u)
                 in_polytope = w is not None and w <= 1
-                assert in_polytope == pt.in_hull(generators, u)
+                assert in_polytope == (xm.lp_min_sum(lifted, u + (1,)) is not None)
+                assert in_polytope == pt.in_hull(list(support.points) + [(0,) * n], u)
 
     def test_two_dim_volume_against_picks_theorem(self):
         # normalized volume = 2*interior + boundary - 2 for lattice polygons
