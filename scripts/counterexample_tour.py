@@ -7,7 +7,7 @@ invariant factor.
 
 from fractions import Fraction
 
-from npoly import decompose, diagonal
+from npoly import catalog, decompose, diagonal
 from npoly.primes import primes_below
 
 
@@ -23,7 +23,7 @@ def polygon_str(poly):
 
 def tour_five_dim():
     show("five-dimensional simplex, determinant 3, facet denominator 1")
-    support = decompose.build_counterexample("five_dim")
+    support = catalog.make("five_dim").support
     ds = diagonal.DiagonalSimplex.from_support(support)
     print("columns:", *support.points)
     print("invariant factors:", ds.invariant_factors)
@@ -43,7 +43,7 @@ def tour_five_dim():
 
 def tour_extension(n=7):
     show(f"extension to dimension {n}: same residue behaviour")
-    support = decompose.build_counterexample("extend_dim", n=n)
+    support = catalog.make("extend_dim", {"n": n}).support
     ds = diagonal.DiagonalSimplex.from_support(support)
     print("denominator:", ds.polyhedron.denominator, "det:", ds.det)
     for p in (7, 5):
@@ -52,7 +52,7 @@ def tour_extension(n=7):
 
 def tour_four_dim(big_d=2, k=3):
     show(f"four-dimensional family with D = {big_d}, k = {k}")
-    support = decompose.build_counterexample("four_dim", D=big_d, k=k)
+    support = catalog.make("four_dim", {"D": big_d, "k": k}).support
     ds = diagonal.DiagonalSimplex.from_support(support)
     rel = diagonal.denominator_divides(ds)
     print(f"facet denominator D = {rel.denominator}, "
@@ -73,7 +73,7 @@ def tour_four_dim(big_d=2, k=3):
 
 def tour_certificates():
     show("certificates through the facet collapse")
-    support = decompose.build_counterexample("five_dim")
+    support = catalog.make("five_dim").support
     for p in (7, 5):
         cert = decompose.generic_ordinary_certificate(support, p)
         print(f"p = {p}: certified = {cert.certified} (D* = {cert.dstar})"

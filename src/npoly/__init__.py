@@ -13,7 +13,6 @@ from .diagonal import (
     DiagonalSimplex,
     GroupElement,
     Orbit,
-    group_elements,
     hodge_polygon_diag,
     is_ordinary,
     m_action,
@@ -28,7 +27,6 @@ from .diagonal import (
 from .decompose import (
     CollapseResult,
     admissible_check,
-    build_counterexample,
     collapse_step,
     complete_collapse,
     facial_decompose,
@@ -56,7 +54,6 @@ __all__ = [
     "DiagonalSimplex",
     "GroupElement",
     "Orbit",
-    "group_elements",
     "hodge_polygon_diag",
     "is_ordinary",
     "m_action",
@@ -69,7 +66,6 @@ __all__ = [
     "stickelberger_ord",
     "CollapseResult",
     "admissible_check",
-    "build_counterexample",
     "collapse_step",
     "complete_collapse",
     "facial_decompose",

@@ -32,6 +32,13 @@ def _unit(i: int, n: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(n))
 
 
+def _int(value, name: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise DegenerateInput(f"{name} must be an integer") from exc
+
+
 def _intlist(value, name: str) -> tuple[int, ...]:
     try:
         out = tuple(int(v) for v in value)
@@ -43,7 +50,7 @@ def _intlist(value, name: str) -> tuple[int, ...]:
 
 
 def _monomial(params):
-    d = int(params["d"])
+    d = _int(params["d"], "d")
     if d < 1:
         raise DegenerateInput("degree must be positive")
     support = pt.Support(1, ((d,),))
@@ -56,7 +63,7 @@ def _monomial(params):
 
 
 def _kloosterman(params):
-    n = int(params["n"])
+    n = _int(params["n"], "n")
     if n < 1:
         raise DegenerateInput("dimension must be positive")
     points = tuple(_unit(i, n) for i in range(n)) + ((-1,) * n,)
@@ -70,7 +77,7 @@ def _kloosterman(params):
 
 
 def _generalized_kloosterman(params):
-    n = int(params["n"])
+    n = _int(params["n"], "n")
     v = _intlist(params["v"], "v")
     if len(v) != n:
         raise DegenerateInput("v must have length n")
@@ -85,7 +92,7 @@ def _generalized_kloosterman(params):
 
 
 def _two_sided(params):
-    n = int(params["n"])
+    n = _int(params["n"], "n")
     u = _intlist(params["u"], "u")
     v = _intlist(params["v"], "v")
     if len(u) != n or len(v) != n:
@@ -97,7 +104,7 @@ def _two_sided(params):
 
 
 def _inverted(params):
-    n = int(params["n"])
+    n = _int(params["n"], "n")
     v = _intlist(params["v"], "v")
     if len(v) != n:
         raise DegenerateInput("v must have length n")
@@ -109,7 +116,7 @@ def _inverted(params):
 
 
 def _bi_kloosterman(params):
-    n = int(params["n"])
+    n = _int(params["n"], "n")
     if n < 2:
         raise DegenerateInput("two-sided family needs n >= 2")
     u = _intlist(params["u"], "u")
@@ -173,9 +180,9 @@ def _box(params):
 
 
 def _dilated_simplex(params):
-    n = int(params["n"])
-    d = int(params["d"])
-    height = int(params.get("D", 1))
+    n = _int(params["n"], "n")
+    d = _int(params["d"], "d")
+    height = _int(params.get("D", 1), "D")
     if n < 1 or d < 1 or height < 1:
         raise DegenerateInput("need n, d, D >= 1")
     points = []
@@ -193,8 +200,19 @@ def _dilated_simplex(params):
     return support, tuple(facts)
 
 
+# columns of the 5-dimensional simplex with determinant 3 whose two nonzero
+# group elements swap under primes in the residue class 2 mod 3
+_FIVE_DIM = (
+    (1, 0, 0, 0, 0),
+    (1, 0, 1, 1, 1),
+    (1, 1, 0, 1, 1),
+    (1, 1, 1, 0, 1),
+    (1, 1, 1, 1, 0),
+)
+
+
 def _five_dim(params):
-    support = dc.build_counterexample("five_dim")
+    support = pt.Support(5, _FIVE_DIM)
     return support, (
         ("denominator", 1),
         ("det_abs", 3),
@@ -204,15 +222,25 @@ def _five_dim(params):
 
 
 def _extend_dim(params):
-    n = int(params["n"])
-    support = dc.build_counterexample("extend_dim", n=n)
+    """The five-dimensional simplex padded into dimension n >= 6."""
+    n = _int(params["n"], "n")
+    if n < 6:
+        raise DegenerateInput("extension only makes sense for n >= 6")
+    cols = [c + (0,) * (n - 5) for c in _FIVE_DIM]
+    cols += [(1, 0, 0, 0, 0) + _unit(j, n - 5) for j in range(n - 5)]
+    support = pt.Support(n, tuple(cols))
     return support, (("denominator", 1), ("det_abs", 3), ("ordinary_classes", (1,)))
 
 
 def _four_dim(params):
-    big_d = int(params["D"])
-    k = int(params["k"])
-    support = dc.build_counterexample("four_dim", D=big_d, k=k)
+    """Facet denominator D but largest invariant factor D**k (D, k >= 2)."""
+    big_d = _int(params["D"], "D")
+    k = _int(params["k"], "k")
+    if big_d < 2 or k < 2:
+        raise DegenerateInput("need D >= 2 and k >= 2")
+    cols = ((big_d, 0, 0, 0), (big_d, 1, 0, 0), (big_d, 1, 1, 0),
+            (big_d, 0, -1, big_d**k))
+    support = pt.Support(4, cols)
     return support, (
         ("denominator", big_d),
         ("largest_invariant_factor", big_d**k),
@@ -253,7 +281,7 @@ FAMILY_NAMES = tuple(sorted(_BUILDERS))
 
 def make(name: str, parameters=None) -> NamedFamily:
     params = dict(parameters or {})
-    if name not in _BUILDERS:
+    if not isinstance(name, str) or name not in _BUILDERS:
         raise DegenerateInput(f"unknown family {name!r}; known: {FAMILY_NAMES}")
     try:
         support, facts = _BUILDERS[name](params)

@@ -231,9 +231,18 @@ def cmd_ordinary_classes(support: polytope.Support, echo: dict) -> dict:
 def cmd_decompose(
     support: polytope.Support, echo: dict, strategy: str, p: int | None
 ) -> dict:
-    faces = decompose.facial_decompose(support)
+    cert = None
+    if p is None:
+        faces = [
+            (fp, decompose.complete_collapse(fp.restricted_support, strategy))
+            for fp in decompose.facial_decompose(support)
+        ]
+    else:
+        _require_prime(p)
+        cert = decompose.generic_ordinary_certificate(support, p, strategy)
+        faces = [(fc.face, fc.collapse) for fc in cert.faces]
     face_rows = []
-    for i, fp in enumerate(faces):
+    for i, (fp, collapse) in enumerate(faces):
         row = {
             "face": i,
             "normal": [_fmt_rational(c) for c in fp.facet.normal],
@@ -241,11 +250,8 @@ def cmd_decompose(
             "diagonal": fp.is_diagonal,
         }
         if fp.is_diagonal:
-            ds = diagonal.DiagonalSimplex.from_matrix(
-                xm.IntMatrix.from_columns(fp.restricted_support)
-            )
-            row["invariant_factors"] = [str(d) for d in ds.invariant_factors]
-        collapse = decompose.complete_collapse(fp.restricted_support, strategy)
+            snf = xm.snf(xm.IntMatrix.from_columns(fp.restricted_support))
+            row["invariant_factors"] = [str(d) for d in snf.diag]
         row["collapse"] = {
             "pieces": [[_fmt_point(q) for q in piece] for piece in collapse.pieces],
             "piece_invariant_factors": [str(d) for d in collapse.piece_invariant_factors],
@@ -259,9 +265,7 @@ def cmd_decompose(
         "strategy": strategy,
         "faces": face_rows,
     }
-    if p is not None:
-        _require_prime(p)
-        cert = decompose.generic_ordinary_certificate(support, p, strategy)
+    if cert is not None:
         report["p"] = str(p)
         report["certificate"] = {
             "certified": cert.certified,

@@ -63,6 +63,7 @@ class CollapseResult:
 @dataclass(frozen=True)
 class FaceCertificate:
     face_index: int
+    face: FacePiece
     collapse: CollapseResult
     pieces_ordinary: tuple[bool, ...]
     failing_piece: int | None
@@ -194,13 +195,16 @@ def collapse_step(vset, chosen) -> tuple[tuple[LatticePoint, ...], ...]:
 
 
 def _valid_choices(pts, n):
-    """Hull vertices whose removal keeps the set full-dimensional."""
+    """Hull vertices (the facet normals through them have rank n - 1) whose
+    removal keeps the set full-dimensional."""
     chart = pt.AffineChart(pts)
     local = {p: chart.to_local(p) for p in pts}
+    facets = pt.affine_facets(list(local.values()))
     out = []
     for p in pts:
         others = [local[q] for q in pts if q != p]
-        if pt.affine_rank(others) == n - 1 and not pt.in_hull(others, local[p]):
+        active = [a for a, b in facets if pt._dot(a, local[p]) == b]
+        if xm.rational_rank(active) == n - 1 and pt.affine_rank(others) == n - 1:
             out.append(p)
     return out
 
@@ -344,7 +348,7 @@ def generic_ordinary_certificate(
             if not ok and failing is None:
                 failing = j
         face_certs.append(
-            FaceCertificate(i, collapse, tuple(verdicts), failing)
+            FaceCertificate(i, fp, collapse, tuple(verdicts), failing)
         )
         if failing is not None and certified:
             certified = False
@@ -486,54 +490,3 @@ def _from_cumulative(y) -> LatticePoint:
         out.append(c - prev)
         prev = c
     return tuple(out)
-
-
-def build_counterexample(kind: str, **params) -> pt.Support:
-    """Supports of the known norm-instability constructions.
-
-    ``five_dim`` is the 5-dimensional simplex with determinant 3 whose two
-    nonzero group elements swap under primes in the residue class 2 mod 3;
-    ``extend_dim`` pads it into any dimension n >= 6; ``four_dim`` takes
-    D >= 2 and k >= 2 and has facet denominator D but largest invariant
-    factor D**k.
-    """
-    if kind == "five_dim":
-        return pt.Support(5, tuple(_FIVE_DIM.columns()))
-    if kind == "extend_dim":
-        n = int(params.get("n", 0))
-        if n < 6:
-            raise DegenerateInput("extension only makes sense for n >= 6")
-        cols = []
-        for j in range(5):
-            base = list(_FIVE_DIM.column(j))
-            cols.append(tuple(base + [0] * (n - 5)))
-        for j in range(n - 5):
-            col = [1] + [0] * 4 + [int(i == j) for i in range(n - 5)]
-            cols.append(tuple(col))
-        return pt.Support(n, tuple(cols))
-    if kind == "four_dim":
-        big_d = int(params.get("D", 0))
-        k = int(params.get("k", 0))
-        if big_d < 2 or k < 2:
-            raise DegenerateInput("need D >= 2 and k >= 2")
-        m = xm.IntMatrix.from_rows(
-            [
-                [big_d, big_d, big_d, big_d],
-                [0, 1, 1, 0],
-                [0, 0, 1, -1],
-                [0, 0, 0, big_d**k],
-            ]
-        )
-        return pt.Support(4, tuple(m.columns()))
-    raise DegenerateInput(f"unknown construction {kind!r}")
-
-
-_FIVE_DIM = xm.IntMatrix.from_rows(
-    [
-        [1, 1, 1, 1, 1],
-        [0, 0, 1, 1, 1],
-        [0, 1, 0, 1, 1],
-        [0, 1, 1, 0, 1],
-        [0, 1, 1, 1, 0],
-    ]
-)

@@ -25,11 +25,23 @@ from .errors import DegenerateInput, DegenerateMatrix, NotCoprime, NotIndecompos
 
 @dataclass(frozen=True, order=True)
 class GroupElement:
-    """One solution r of M*r = 0 (mod 1), with its coordinate sum and order."""
+    """One solution r = a/d_n of M*r = 0 (mod 1), with 0 <= a_i < d_n = modulus;
+    the coordinates r, their sum and the order are derived views."""
 
-    r: tuple[Fraction, ...]
-    norm: Fraction
-    order: int
+    a: tuple[int, ...]
+    modulus: int
+
+    @property
+    def r(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.modulus) for x in self.a)
+
+    @property
+    def norm(self) -> Fraction:
+        return Fraction(sum(self.a), self.modulus)
+
+    @property
+    def order(self) -> int:
+        return self.modulus // gcd(self.modulus, *self.a)
 
 
 @dataclass(frozen=True)
@@ -62,12 +74,6 @@ class DenominatorRelation:
     denominator: int
     largest_invariant_factor: int
     divides: bool
-
-
-def _element(r) -> GroupElement:
-    r = tuple(Fraction(x) for x in r)
-    order = lcm(*(x.denominator for x in r))
-    return GroupElement(r=r, norm=sum(r, Fraction(0)), order=order)
 
 
 @dataclass(eq=False)
@@ -123,35 +129,33 @@ class DiagonalSimplex:
 
     @cached_property
     def group(self) -> tuple[GroupElement, ...]:
-        """All solutions r of M*r = 0 (mod 1) in [0,1)^n, sorted.
+        """All solutions r = a/d_n of M*r = 0 (mod 1) in [0,1)^n, sorted.
 
         Enumerated through the Smith decomposition: with P*M*Q diagonal, the
         solutions are exactly the fractional parts of Q*s for s ranging over
-        products of the cyclic factors.
+        products of the cyclic factors, so a = Q*(c_i*d_n/d_i) mod d_n.
         """
+        dn = self.largest_invariant_factor
+        scales = [dn // d for d in self.snf.diag]
         elements = []
         for combo in itertools.product(*(range(d) for d in self.snf.diag)):
-            s = [Fraction(a, d) for a, d in zip(combo, self.snf.diag)]
-            r = tuple(x % 1 for x in self.snf.Q.mul_vector(s))
-            elements.append(_element(r))
-        elements.sort(key=lambda e: (e.norm, e.r))
-        assert len({e.r for e in elements}) == self.group_order
+            s = [c * k for c, k in zip(combo, scales)]
+            a = tuple(x % dn for x in self.snf.Q.mul_vector(s))
+            elements.append(GroupElement(a, dn))
+        elements.sort(key=lambda e: (sum(e.a), e.a))
+        assert len({e.a for e in elements}) == self.group_order
         assert all(
-            all(c.denominator == 1 for c in self.matrix.mul_vector(e.r))
-            for e in elements
+            all(c % dn == 0 for c in self.matrix.mul_vector(e.a)) for e in elements
         )
         return tuple(elements)
 
 
-def group_elements(ds: DiagonalSimplex) -> tuple[GroupElement, ...]:
-    return ds.group
-
-
 def m_action(element: GroupElement, m: int) -> GroupElement:
-    """Componentwise fractional part of m*r; needs m coprime to the order."""
+    """Componentwise m*a mod d_n; needs m coprime to the order."""
     if gcd(m, element.order) != 1:
         raise NotCoprime(f"{m} shares a factor with the element order {element.order}")
-    return _element(tuple((m * x) % 1 for x in element.r))
+    d = element.modulus
+    return GroupElement(tuple(m * x % d for x in element.a), d)
 
 
 def m_degree(element: GroupElement, m: int) -> int:
@@ -167,20 +171,21 @@ def m_degree(element: GroupElement, m: int) -> int:
 
 
 def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
-    """Partition of the group under r -> {p*r}, sorted by (slope, representative)."""
+    """Partition of the group under a -> p*a mod d_n, sorted by (slope, representative)."""
     if gcd(p, ds.group_order) != 1:
         raise NotCoprime(f"{p} divides the group order {ds.group_order}")
-    remaining = {e.r: e for e in ds.group}
+    dn = ds.largest_invariant_factor
+    remaining = {e.a: e for e in ds.group}
     out = []
     for e in ds.group:
-        if e.r not in remaining:
+        if e.a not in remaining:
             continue
         members = []
-        cur = e
-        while cur.r in remaining:
-            members.append(remaining.pop(cur.r))
-            cur = m_action(cur, p)
-        slope = sum((m.norm for m in members), Fraction(0)) / len(members)
+        cur = e.a
+        while cur in remaining:
+            members.append(remaining.pop(cur))
+            cur = tuple(p * x % dn for x in cur)
+        slope = Fraction(sum(sum(m.a) for m in members), dn * len(members))
         orbit = Orbit(
             representative=members[0],
             members=tuple(members),
@@ -189,20 +194,20 @@ def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
         )
         assert orbit.degree == m_degree(orbit.representative, p)
         out.append(orbit)
-    out.sort(key=lambda o: (o.slope, o.representative.r))
+    out.sort(key=lambda o: (o.slope, o.representative.a))
     return tuple(out)
 
 
 def orbit_slope(orbit: Orbit, p: int) -> Fraction:
     """Mean coordinate-sum along the orbit, recomputed by walking the action."""
-    total = Fraction(0)
+    total = 0
     cur = orbit.representative
     for _ in range(orbit.degree):
-        total += cur.norm
+        total += sum(cur.a)
         cur = m_action(cur, p)
-    if cur.r != orbit.representative.r:
+    if cur != orbit.representative:
         raise DegenerateInput("orbit is not closed under the given prime")
-    return total / orbit.degree
+    return Fraction(total, cur.modulus * orbit.degree)
 
 
 def digit_sum(k: int, p: int) -> int:
@@ -230,10 +235,10 @@ def slope_from_digit_sums(element: GroupElement, p: int) -> Fraction:
     d = m_degree(element, p)
     q = p**d
     total = Fraction(0)
-    for x in element.r:
-        k = x * (q - 1)
-        assert k.denominator == 1
-        total += stickelberger_ord(int(k), p, q)
+    for x in element.a:
+        k, rest = divmod(x * (q - 1), element.modulus)
+        assert rest == 0
+        total += stickelberger_ord(k, p, q)
     return total / d
 
 
@@ -250,9 +255,9 @@ def hodge_counts_diag(ds: DiagonalSimplex) -> dict[int, int]:
     d = ds.polyhedron.denominator
     counts: dict[int, int] = {}
     for e in ds.group:
-        scaled = e.norm * d
-        assert scaled.denominator == 1
-        counts[int(scaled)] = counts.get(int(scaled), 0) + 1
+        k, rest = divmod(sum(e.a) * d, e.modulus)
+        assert rest == 0
+        counts[k] = counts.get(k, 0) + 1
     return counts
 
 
@@ -260,12 +265,17 @@ def hodge_polygon_diag(ds: DiagonalSimplex) -> pt.LowerPolygon:
     return pt.LowerPolygon.from_slopes([e.norm for e in ds.group])
 
 
+def _norm_stable(element: GroupElement, m: int) -> bool:
+    d = element.modulus
+    return sum(m * x % d for x in element.a) == sum(element.a)
+
+
 def is_ordinary(ds: DiagonalSimplex, p: int) -> OrdinaryVerdict:
     """Norm stability under the p-action, with the first violator as witness."""
     if gcd(p, ds.group_order) != 1:
         raise NotCoprime(f"{p} divides the group order {ds.group_order}")
     for e in ds.group:
-        if m_action(e, p).norm != e.norm:
+        if not _norm_stable(e, p):
             return OrdinaryVerdict(False, e)
     return OrdinaryVerdict(True, None)
 
@@ -279,7 +289,7 @@ def ordinary_residues(ds: DiagonalSimplex) -> ResidueClassification:
     """
     dn = ds.largest_invariant_factor
     units = [m for m in range(1, dn + 1) if gcd(m, dn) == 1]
-    stable = tuple(m for m in units if all(m_action(e, m).norm == e.norm for e in ds.group))
+    stable = tuple(m for m in units if all(_norm_stable(e, m) for e in ds.group))
     return ResidueClassification(dn, stable, len(stable), Fraction(len(stable), len(units)))
 
 

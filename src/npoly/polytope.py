@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm
 
 from . import exactmath as xm
@@ -82,7 +83,10 @@ class AffineChart:
         else:
             self._fwd = xm.IntMatrix.identity(ambient)
             self.dim = 0
-        self._bwd = xm.unimodular_inverse(self._fwd)
+
+    @cached_property
+    def _bwd(self) -> xm.IntMatrix:
+        return xm.unimodular_inverse(self._fwd)
 
     def to_local(self, point) -> LatticePoint:
         v = self._fwd.mul_vector(_sub(point, self.base))

@@ -86,7 +86,7 @@ def test_criterion_03_generalized_kloosterman_23():
 
 
 def test_criterion_04_five_dim():
-    support = dc.build_counterexample("five_dim")
+    support = catalog.make("five_dim").support
     ds = dg.DiagonalSimplex.from_support(support)
     assert ds.group_order == 3
     box_data = ds.polyhedron.hodge_data()
@@ -114,7 +114,7 @@ def test_criterion_04_five_dim():
 
 def test_criterion_05_four_dim_family():
     for big_d, k in ((2, 2), (3, 2)):
-        support = dc.build_counterexample("four_dim", D=big_d, k=k)
+        support = catalog.make("four_dim", {"D": big_d, "k": k}).support
         ds = dg.DiagonalSimplex.from_support(support)
         assert ds.polyhedron.denominator == big_d
         assert ds.largest_invariant_factor == big_d**k

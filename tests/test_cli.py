@@ -285,6 +285,17 @@ class TestInputHandling:
         code, _, _ = run_cli(capsys, ["hodge", str(path)])
         assert code == 5
 
+        for bad in (
+            {"family": {"name": [1]}},
+            {"family": {"name": "kloosterman", "parameters": {"n": [2]}}},
+            {"family": {"name": "dilated_simplex", "parameters": {"n": 2, "d": [2]}}},
+        ):
+            path = write_doc(tmp_path, bad)
+            code, out, err = run_cli(capsys, ["hodge", path, "--format", "json"])
+            assert code == 5
+            assert out == ""
+            assert err.startswith("error:")
+
     def test_coefficients_echoed(self, tmp_path, capsys):
         doc = dict(MONOMIAL_3)
         doc["coefficients"] = [1]

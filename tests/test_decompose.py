@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from npoly import catalog
 from npoly import decompose as dc
 from npoly import diagonal as dg
 from npoly import exactmath as xm
@@ -186,7 +187,7 @@ class TestCompleteCollapse:
         assert all(len(p) == 3 for p in res.pieces)
 
     def test_five_dim_already_indecomposable(self):
-        support = dc.build_counterexample("five_dim")
+        support = catalog.make("five_dim").support
         res = dc.complete_collapse(support.points)
         assert len(res.pieces) == 1
         assert res.dstar == 3
@@ -238,7 +239,7 @@ class TestCompleteCollapse:
 
 class TestCertificate:
     def test_five_dim(self):
-        support = dc.build_counterexample("five_dim")
+        support = catalog.make("five_dim").support
         cert = dc.generic_ordinary_certificate(support, 7)
         assert cert.certified and cert.dstar == 3
         cert5 = dc.generic_ordinary_certificate(support, 5)
@@ -380,13 +381,13 @@ class TestRegularSubdivision:
 
 class TestBuildCounterexample:
     def test_five_dim(self):
-        support = dc.build_counterexample("five_dim")
+        support = catalog.make("five_dim").support
         ds = dg.DiagonalSimplex.from_support(support)
         assert abs(ds.det) == 3
         assert ds.polyhedron.denominator == 1
 
     def test_four_dim(self):
-        support = dc.build_counterexample("four_dim", D=2, k=2)
+        support = catalog.make("four_dim", {"D": 2, "k": 2}).support
         ds = dg.DiagonalSimplex.from_support(support)
         assert ds.polyhedron.denominator == 2
         assert ds.largest_invariant_factor == 4
@@ -395,7 +396,7 @@ class TestBuildCounterexample:
     def test_four_dim_instability_bound(self):
         # witness norm jumps past its value at primes 1 + D**(k-1) mod D**k
         big_d, k = 2, 2
-        support = dc.build_counterexample("four_dim", D=big_d, k=k)
+        support = catalog.make("four_dim", {"D": big_d, "k": k}).support
         ds = dg.DiagonalSimplex.from_support(support)
         u = (big_d + 1, 1, 0, 1)
         r = xm.solve_unique(ds.matrix, u)
@@ -407,7 +408,7 @@ class TestBuildCounterexample:
             assert moved.norm > element.norm
 
     def test_extend_dim(self):
-        support = dc.build_counterexample("extend_dim", n=6)
+        support = catalog.make("extend_dim", {"n": 6}).support
         ds = dg.DiagonalSimplex.from_support(support)
         assert abs(ds.det) == 3
         assert ds.polyhedron.denominator == 1
@@ -416,10 +417,10 @@ class TestBuildCounterexample:
 
     def test_parameter_validation(self):
         with pytest.raises(DegenerateInput):
-            dc.build_counterexample("four_dim", D=1, k=2)
+            catalog.make("four_dim", {"D": 1, "k": 2}).support
         with pytest.raises(DegenerateInput):
-            dc.build_counterexample("four_dim", D=2, k=1)
+            catalog.make("four_dim", {"D": 2, "k": 1}).support
         with pytest.raises(DegenerateInput):
-            dc.build_counterexample("extend_dim", n=5)
+            catalog.make("extend_dim", {"n": 5}).support
         with pytest.raises(DegenerateInput):
-            dc.build_counterexample("seven_dim")
+            catalog.make("seven_dim").support

@@ -252,6 +252,66 @@ class TestIndependentOracles:
             assert {e.r for e in ds.group} == brute
             checked += 1
 
+    def test_integer_group_against_fraction_group(self):
+        # the group, the p-action and the norm rebuilt with Fractions:
+        # r = Q s mod 1 over the Smith factors, and m*r mod 1
+        def act(r, m):
+            return tuple(m * x % 1 for x in r)
+
+        primes = primes_below(3000)
+        checked = 0
+        while checked < 24:
+            n = self.rng.randint(2, 4)
+            m = xm.IntMatrix.from_rows(
+                [[self.rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            )
+            det = xm.determinant(m)
+            if det == 0 or abs(det) > 60:
+                continue
+            ds = dg.DiagonalSimplex.from_matrix(m)
+            diag = ds.snf.diag
+            group = sorted(
+                {
+                    tuple(x % 1 for x in ds.snf.Q.mul_vector(
+                        [Fraction(c, d) for c, d in zip(combo, diag)]))
+                    for combo in itertools.product(*(range(d) for d in diag))
+                },
+                key=lambda r: (sum(r), r),
+            )
+            assert [e.r for e in ds.group] == group
+
+            for p in self.rng.sample([p for p in primes[:30] if det % p], 2):
+                expected = []
+                remaining = set(group)
+                for r in group:
+                    members = []
+                    while r in remaining:
+                        remaining.discard(r)
+                        members.append(r)
+                        r = act(r, p)
+                    if members:
+                        slope = sum(map(sum, members)) / len(members)
+                        expected.append((slope, members[0], len(members)))
+                assert [
+                    (o.slope, o.representative.r, o.degree) for o in dg.orbits(ds, p)
+                ] == sorted(expected)
+                witness = next((r for r in group if sum(act(r, p)) != sum(r)), None)
+                verdict = dg.is_ordinary(ds, p)
+                assert verdict.ordinary == (witness is None)
+                assert (None if verdict.witness is None else verdict.witness.r) == witness
+
+            dn = ds.largest_invariant_factor
+            units = [u for u in range(1, dn + 1) if gcd(u, dn) == 1]
+            stable = tuple(
+                u for u in units if all(sum(act(r, u)) == sum(r) for r in group)
+            )
+            classes = dg.ordinary_residues(ds).classes
+            assert classes == stable
+            for u in units:
+                for p in [p for p in primes if p % dn == u % dn][:3]:
+                    assert dg.is_ordinary(ds, p).ordinary == (u in classes)
+            checked += 1
+
     def test_orbit_slope_representative_independent(self):
         ds = dg.DiagonalSimplex.from_matrix(
             xm.IntMatrix.from_columns([(5, 1), (1, 3)])
