@@ -58,7 +58,6 @@ def _as_int(value, what: str) -> int:
 
 
 def _fmt_rational(x: Fraction) -> str:
-    x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -73,8 +72,11 @@ def _fmt_point(p) -> list[str]:
 
 
 def _fmt_polygon(poly: polytope.LowerPolygon) -> dict:
+    slopes = []
+    for s, m in poly.runs:
+        slopes.extend([_fmt_rational(s)] * m)
     return {
-        "slopes": [_fmt_rational(s) for s in poly.slopes],
+        "slopes": slopes,
         "vertices": [[_fmt_rational(x), _fmt_rational(y)] for x, y in poly.vertices],
     }
 

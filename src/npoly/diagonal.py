@@ -12,11 +12,11 @@ equivalent to the valuations meeting their combinatorial lower bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 from . import exactmath as xm
 from . import polytope as pt
@@ -133,21 +133,38 @@ class DiagonalSimplex:
 
         Enumerated through the Smith decomposition: with P*M*Q diagonal, the
         solutions are exactly the fractional parts of Q*s for s ranging over
-        products of the cyclic factors, so a = Q*(c_i*d_n/d_i) mod d_n.
+        products of the cyclic factors, so a = sum_j c_j*(d_n/d_j)*Q[:, j]
+        mod d_n with 0 <= c_j < d_j. Refused before allocating when the
+        order exceeds the enumeration budget.
         """
+        _check_order(self, "group")
         dn = self.largest_invariant_factor
-        scales = [dn // d for d in self.snf.diag]
-        elements = []
-        for combo in itertools.product(*(range(d) for d in self.snf.diag)):
-            s = [c * k for c, k in zip(combo, scales)]
-            a = tuple(x % dn for x in self.snf.Q.mul_vector(s))
-            elements.append(GroupElement(a, dn))
-        elements.sort(key=lambda e: (sum(e.a), e.a))
-        assert len({e.a for e in elements}) == self.group_order
-        assert all(
-            all(c % dn == 0 for c in self.matrix.mul_vector(e.a)) for e in elements
+        vectors = [(0,) * self.dim]
+        for d, column in zip(self.snf.diag, self.snf.Q.columns()):
+            if d == 1:
+                continue
+            step = [c * (dn // d) % dn for c in column]
+            grown = []
+            for a in vectors:
+                for _ in range(d):
+                    grown.append(a)
+                    a = tuple([(x + y) % dn for x, y in zip(a, step)])
+            vectors = grown
+        if len(set(vectors)) != self.group_order:
+            raise AssertionError("group elements are not distinct")
+        for row in self.matrix.entries:
+            if any(sum(map(mul, row, a)) % dn for a in vectors):
+                raise AssertionError("a group element does not solve M*r = 0 (mod 1)")
+        vectors.sort(key=lambda a: (sum(a), a))
+        return tuple(GroupElement(a, dn) for a in vectors)
+
+
+def _check_order(ds: DiagonalSimplex, stage: str) -> None:
+    """Refuse a group too large to enumerate, before anything is allocated."""
+    if ds.group_order > pt.ENUMERATION_LIMIT:
+        raise DegenerateInput(
+            f"group of order {ds.group_order} is too large at stage {stage}"
         )
-        return tuple(elements)
 
 
 def m_action(element: GroupElement, m: int) -> GroupElement:
@@ -160,12 +177,13 @@ def m_action(element: GroupElement, m: int) -> GroupElement:
 
 def m_degree(element: GroupElement, m: int) -> int:
     """Smallest d >= 1 with (m**d - 1)*r integral: the order of m mod order(r)."""
-    if gcd(m, element.order) != 1:
-        raise NotCoprime(f"{m} shares a factor with the element order {element.order}")
+    order = element.order
+    if gcd(m, order) != 1:
+        raise NotCoprime(f"{m} shares a factor with the element order {order}")
     d = 1
-    power = m % element.order if element.order > 1 else 0
-    while element.order > 1 and power != 1:
-        power = power * m % element.order
+    power = m % order
+    while order > 1 and power != 1:
+        power = power * m % order
         d += 1
     return d
 
@@ -176,7 +194,7 @@ def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
         raise NotCoprime(f"{p} divides the group order {ds.group_order}")
     dn = ds.largest_invariant_factor
     remaining = {e.a: e for e in ds.group}
-    out = []
+    found = []
     for e in ds.group:
         if e.a not in remaining:
             continue
@@ -184,18 +202,22 @@ def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
         cur = e.a
         while cur in remaining:
             members.append(remaining.pop(cur))
-            cur = tuple(p * x % dn for x in cur)
-        slope = Fraction(sum(sum(m.a) for m in members), dn * len(members))
-        orbit = Orbit(
+            cur = tuple([p * x % dn for x in cur])
+        if len(members) != m_degree(members[0], p):
+            raise AssertionError("orbit size differs from the order of p")
+        found.append((sum(sum(m.a) for m in members), members))
+    # slope = total/(d_n*degree); scaling by d_n*lcm(degrees) sorts in integers
+    scale = lcm(*(len(members) for _, members in found))
+    found.sort(key=lambda tm: (tm[0] * (scale // len(tm[1])), tm[1][0].a))
+    return tuple(
+        Orbit(
             representative=members[0],
             members=tuple(members),
             degree=len(members),
-            slope=slope,
+            slope=Fraction(total, dn * len(members)),
         )
-        assert orbit.degree == m_degree(orbit.representative, p)
-        out.append(orbit)
-    out.sort(key=lambda o: (o.slope, o.representative.a))
-    return tuple(out)
+        for total, members in found
+    )
 
 
 def orbit_slope(orbit: Orbit, p: int) -> Fraction:
@@ -237,17 +259,15 @@ def slope_from_digit_sums(element: GroupElement, p: int) -> Fraction:
     total = Fraction(0)
     for x in element.a:
         k, rest = divmod(x * (q - 1), element.modulus)
-        assert rest == 0
+        if rest:
+            raise AssertionError("(p**d - 1)*r is not integral")
         total += stickelberger_ord(k, p, q)
     return total / d
 
 
 def newton_polygon_diag(ds: DiagonalSimplex, p: int) -> pt.LowerPolygon:
     """Exact slope multiset: each orbit contributes its slope with its degree."""
-    slopes = []
-    for orbit in orbits(ds, p):
-        slopes.extend([orbit.slope] * orbit.degree)
-    return pt.LowerPolygon.from_slopes(slopes)
+    return pt.LowerPolygon.from_runs((o.slope, o.degree) for o in orbits(ds, p))
 
 
 def hodge_counts_diag(ds: DiagonalSimplex) -> dict[int, int]:
@@ -256,13 +276,17 @@ def hodge_counts_diag(ds: DiagonalSimplex) -> dict[int, int]:
     counts: dict[int, int] = {}
     for e in ds.group:
         k, rest = divmod(sum(e.a) * d, e.modulus)
-        assert rest == 0
+        if rest:
+            raise AssertionError("element norm is not a multiple of 1/D")
         counts[k] = counts.get(k, 0) + 1
     return counts
 
 
 def hodge_polygon_diag(ds: DiagonalSimplex) -> pt.LowerPolygon:
-    return pt.LowerPolygon.from_slopes([e.norm for e in ds.group])
+    """Slope multiset of the norms: one run per distinct norm k/D."""
+    d = ds.polyhedron.denominator
+    counts = hodge_counts_diag(ds)
+    return pt.LowerPolygon.from_runs((Fraction(k, d), counts[k]) for k in sorted(counts))
 
 
 def _norm_stable(element: GroupElement, m: int) -> bool:
@@ -287,6 +311,7 @@ def ordinary_residues(ds: DiagonalSimplex) -> ResidueClassification:
     single stable step propagates along the whole orbit. Any prime p coprime
     to det M acts exactly as p mod d_n does.
     """
+    _check_order(ds, "ordinary_residues")
     dn = ds.largest_invariant_factor
     units = [m for m in range(1, dn + 1) if gcd(m, dn) == 1]
     stable = tuple(m for m in units if all(_norm_stable(e, m) for e in ds.group))

@@ -255,61 +255,87 @@ class Facet:
         return tuple(Fraction(c, self.b) for c in self.a)
 
 
-@dataclass(frozen=True)
-class LowerPolygon:
-    """Lower-convex polygon through (0,0), stored as its sorted slope multiset.
+def _merge_runs(pairs) -> tuple[tuple[Fraction, int], ...]:
+    """Canonical runs of (slope, multiplicity) pairs with non-decreasing slopes."""
+    runs: list[tuple[Fraction, int]] = []
+    for s, m in pairs:
+        if m < 0:
+            raise DegenerateInput("multiplicities must be non-negative")
+        if not m:
+            continue
+        if not isinstance(s, Fraction):
+            s = Fraction(s)
+        if runs and s <= runs[-1][0]:
+            if s != runs[-1][0]:
+                raise DegenerateInput("slopes must be non-decreasing")
+            runs[-1] = (s, runs[-1][1] + m)
+        else:
+            runs.append((s, m))
+    return tuple(runs)
 
-    Vertex list and slope multiset interconvert losslessly; equality is
-    equality of the canonical representation.
+
+@dataclass(frozen=True, init=False)
+class LowerPolygon:
+    """Lower-convex polygon through (0,0), stored as its slope runs.
+
+    runs = ((slope, multiplicity), ...) with strictly increasing slopes and
+    positive multiplicities. The slope multiset, the vertex list and the
+    cumulative sums are derived views; equality compares the runs.
     """
 
-    slopes: tuple[Fraction, ...]
+    runs: tuple[tuple[Fraction, int], ...]
 
-    def __post_init__(self):
-        slopes = tuple(Fraction(s) for s in self.slopes)
-        object.__setattr__(self, "slopes", slopes)
-        if any(slopes[i] > slopes[i + 1] for i in range(len(slopes) - 1)):
-            raise DegenerateInput("slopes must be non-decreasing")
+    def __init__(self, slopes=()):
+        object.__setattr__(self, "runs", _merge_runs((s, 1) for s in slopes))
+
+    @classmethod
+    def from_runs(cls, runs) -> "LowerPolygon":
+        """Polygon from (slope, multiplicity) pairs with non-decreasing slopes;
+        equal slopes merge and zero multiplicities drop out."""
+        poly = cls()
+        object.__setattr__(poly, "runs", _merge_runs(runs))
+        return poly
 
     @classmethod
     def from_slopes(cls, slopes) -> "LowerPolygon":
-        return cls(tuple(sorted(Fraction(s) for s in slopes)))
+        return cls(sorted(Fraction(s) for s in slopes))
 
     @classmethod
     def from_vertices(cls, vertices) -> "LowerPolygon":
         verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
         if not verts or verts[0] != (0, 0):
             raise DegenerateInput("polygon must start at the origin")
-        slopes = []
+        runs = []
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
             run = x1 - x0
             if run == 0 and y1 == y0:
                 continue
             if run <= 0 or run.denominator != 1:
                 raise DegenerateInput("abscissae must increase by positive integers")
-            slopes.extend([(y1 - y0) / run] * int(run))
-        return cls.from_slopes(slopes)
+            runs.append(((y1 - y0) / run, int(run)))
+        return cls.from_runs(sorted(runs))
+
+    @property
+    def slopes(self) -> tuple[Fraction, ...]:
+        return tuple(s for s, m in self.runs for _ in range(m))
 
     @property
     def length(self) -> int:
-        return len(self.slopes)
+        return sum(m for _, m in self.runs)
 
     def cumulative(self) -> tuple[Fraction, ...]:
-        out = [Fraction(0)]
-        for s in self.slopes:
-            out.append(out[-1] + s)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.slopes, initial=Fraction(0)))
+
+    def _abscissae(self) -> list[int]:
+        """Abscissae of the vertices: 0 and the running sums of the multiplicities."""
+        return list(itertools.accumulate((m for _, m in self.runs), initial=0))
 
     @property
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        verts = [(Fraction(0), Fraction(0))]
-        x, y = Fraction(0), Fraction(0)
-        for s, group in itertools.groupby(self.slopes):
-            count = len(list(group))
-            x += count
-            y += count * s
-            verts.append((x, y))
-        return tuple(verts)
+        scale = lcm(*(s.denominator for s, _ in self.runs))
+        xs = self._abscissae()
+        heights = _scaled_heights(self, scale, xs)
+        return tuple((Fraction(x), Fraction(y, scale)) for x, y in zip(xs, heights))
 
     @property
     def endpoint(self) -> tuple[Fraction, Fraction]:
@@ -333,26 +359,54 @@ class PolygonComparison:
         return self.status is not Dominance.VIOLATION
 
 
+def _scaled_heights(poly: LowerPolygon, scale: int, xs) -> list[int]:
+    """scale times the cumulative slope sum of poly at each sorted integer in xs."""
+    out = []
+    runs = iter(poly.runs)
+    x = y = step = m = 0
+    for t in xs:
+        while x + m < t:
+            x, y = x + m, y + step * m
+            s, m = next(runs)
+            step = s.numerator * (scale // s.denominator)
+        out.append(y + step * (t - x))
+    return out
+
+
 def lies_above(upper: LowerPolygon, lower: LowerPolygon) -> PolygonComparison:
     """Pointwise comparison of two lower polygons sharing an endpoint abscissa.
 
     Both polygons have breakpoints only at integer abscissae, so comparing
     the cumulative slope sums at every integer decides the order everywhere.
+    The sums are integers scaled by the lcm of the slope denominators, and
+    between consecutive breakpoints of either polygon their difference is
+    linear, so the breakpoints decide the status and the first violating
+    integer inside a segment comes from one division.
     """
     if upper.length != lower.length:
         raise IncomparablePolygons(
             f"polygon lengths differ: {upper.length} vs {lower.length}"
         )
-    cu = upper.cumulative()
-    cl = lower.cumulative()
+    scale = lcm(*(s.denominator for s, _ in upper.runs + lower.runs))
+    xs = sorted(set(upper._abscissae()) | set(lower._abscissae()))
+    hu = _scaled_heights(upper, scale, xs)
+    hl = _scaled_heights(lower, scale, xs)
+    coincide = hu[-1] == hl[-1]
     strict = False
-    for k, (a, b) in enumerate(zip(cu, cl)):
+    for i, (a, b) in enumerate(zip(hu, hl)):
         if a < b:
-            return PolygonComparison(Dominance.VIOLATION, cu[-1] == cl[-1], (k, a, b))
+            # both start at 0, so i > 0 and the previous breakpoint is not below
+            x0, a0, b0 = xs[i - 1], hu[i - 1], hl[i - 1]
+            width = xs[i] - x0
+            k = x0 + (a0 - b0) * width // ((a0 - b0) - (a - b)) + 1
+            ak = a0 + (a - a0) // width * (k - x0)
+            bk = b0 + (b - b0) // width * (k - x0)
+            witness = (k, Fraction(ak, scale), Fraction(bk, scale))
+            return PolygonComparison(Dominance.VIOLATION, coincide, witness)
         if a > b:
             strict = True
     status = Dominance.ABOVE_STRICT_SOMEWHERE if strict else Dominance.ABOVE
-    return PolygonComparison(status, cu[-1] == cl[-1])
+    return PolygonComparison(status, coincide)
 
 
 @dataclass(frozen=True)
@@ -426,10 +480,8 @@ class NewtonPolyhedron:
             assert h >= 0
             h_counts[k] = h
         assert sum(h_counts.values()) == self.normalized_volume
-        slopes = []
-        for k in range(kmax + 1):
-            slopes.extend([Fraction(k, d)] * h_counts[k])
-        self._hodge = HodgeData(w_counts, h_counts, LowerPolygon.from_slopes(slopes))
+        runs = ((Fraction(k, d), h) for k, h in h_counts.items())
+        self._hodge = HodgeData(w_counts, h_counts, LowerPolygon.from_runs(runs))
         return self._hodge
 
     def hodge_polygon(self) -> LowerPolygon:

@@ -268,6 +268,22 @@ class TestInputHandling:
         assert code == 2
         assert "too large" in err
 
+    def test_huge_determinant_refused_before_enumeration(self, tmp_path, capsys):
+        # a group of order 10**30: the budget check reads only |det|
+        doc = {"n": 1, "support": [["1" + "0" * 30]]}
+        path = write_doc(tmp_path, doc)
+        for command in (
+            ["diagonal", path, "-p", "7"],
+            ["decompose", path, "-p", "7"],
+            ["ordinary-classes", path],
+            ["scan", path, "--bound", "30"],
+        ):
+            code, out, err = run_cli(capsys, command + ["--format", "json"])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and "too large" in err
+            assert "Traceback" not in err
+
     def test_family_and_support_exclusive(self, tmp_path, capsys):
         doc = dict(KLOOSTERMAN)
         doc["family"] = {"name": "monomial", "parameters": {"d": 3}}

@@ -96,6 +96,28 @@ class TestGroupElements:
             assert all(c.denominator == 1 for c in u)
             assert five_dim.polyhedron.weight([int(c) for c in u]) == e.norm
 
+    def test_closure_check_catches_a_foreign_smith_form(self):
+        # diag(2, 3) and diag(6, 1) share |det| = 6 and the invariant
+        # factors (1, 6), but not their solutions of M*r = 0 (mod 1)
+        matrix = xm.IntMatrix.from_rows([[2, 0], [0, 3]])
+        honest = dg.DiagonalSimplex.from_matrix(matrix)
+        foreign = dg.DiagonalSimplex(
+            matrix=matrix,
+            snf=xm.snf(xm.IntMatrix.from_rows([[6, 0], [0, 1]])),
+            polyhedron=honest.polyhedron,
+            det=honest.det,
+        )
+        assert len(honest.group) == 6
+        with pytest.raises(AssertionError):
+            foreign.group
+
+    def test_huge_group_refused_before_enumeration(self):
+        ds = monomial(10**30)
+        with pytest.raises(DegenerateInput, match="too large at stage group"):
+            ds.group
+        with pytest.raises(DegenerateInput, match="at stage ordinary_residues"):
+            dg.ordinary_residues(ds)
+
     def test_order_divides_largest_factor(self, five_dim):
         for e in five_dim.group:
             assert five_dim.largest_invariant_factor % e.order == 0

@@ -14,8 +14,8 @@ from npoly import polytope as pt
 from npoly.primes import primes_below
 
 
-def square_matrices(max_n=4, lo=-6, hi=6):
-    return st.integers(min_value=1, max_value=max_n).flatmap(
+def square_matrices(max_n=4, lo=-6, hi=6, min_n=1):
+    return st.integers(min_value=min_n, max_value=max_n).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(lo, hi), min_size=n, max_size=n),
             min_size=n,
@@ -79,6 +79,121 @@ def test_polygon_round_trip(slopes):
     assert again == poly
     cmp = pt.lies_above(poly, poly)
     assert cmp.status is pt.Dominance.ABOVE and cmp.endpoints_coincide
+
+
+class FractionPolygon:
+    """Reference lower polygon kept as a sorted tuple of Fraction slopes, with
+    Fraction cumulative sums and vertices grouped by equal slopes."""
+
+    def __init__(self, slopes):
+        self.slopes = tuple(sorted(Fraction(s) for s in slopes))
+        cumulative = [Fraction(0)]
+        for s in self.slopes:
+            cumulative.append(cumulative[-1] + s)
+        self.cumulative = tuple(cumulative)
+        vertices = [(Fraction(0), Fraction(0))]
+        x = y = Fraction(0)
+        for s, group in itertools.groupby(self.slopes):
+            count = len(list(group))
+            x += count
+            y += count * s
+            vertices.append((x, y))
+        self.vertices = tuple(vertices)
+
+    def lies_above(self, lower):
+        cu, cl = self.cumulative, lower.cumulative
+        strict = False
+        for k, (a, b) in enumerate(zip(cu, cl)):
+            if a < b:
+                return pt.Dominance.VIOLATION, cu[-1] == cl[-1], (k, a, b)
+            strict = strict or a > b
+        status = pt.Dominance.ABOVE_STRICT_SOMEWHERE if strict else pt.Dominance.ABOVE
+        return status, cu[-1] == cl[-1], None
+
+
+def assert_matches_reference(poly, ref):
+    assert poly.slopes == ref.slopes
+    assert poly.length == len(ref.slopes)
+    assert poly.cumulative() == ref.cumulative
+    assert poly.vertices == ref.vertices
+    assert poly.endpoint == ref.vertices[-1]
+    assert all(m > 0 for _, m in poly.runs)
+    assert all(a[0] < b[0] for a, b in zip(poly.runs, poly.runs[1:]))
+
+
+def assert_comparison_matches(upper, lower, ref_upper, ref_lower):
+    cmp = pt.lies_above(upper, lower)
+    assert (cmp.status, cmp.endpoints_coincide, cmp.witness) == ref_upper.lies_above(
+        ref_lower
+    )
+
+
+slope_values = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.tuples(
+            st.lists(slope_values, min_size=n, max_size=n),
+            st.lists(slope_values, min_size=n, max_size=n),
+        )
+    ),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_run_length_polygon_against_fraction_reference(pair, rnd):
+    first, second = pair
+    polys = [pt.LowerPolygon.from_slopes(s) for s in pair]
+    refs = [FractionPolygon(s) for s in pair]
+    for poly, ref, slopes in zip(polys, refs, pair):
+        assert_matches_reference(poly, ref)
+        shuffled = list(slopes)
+        rnd.shuffle(shuffled)
+        assert pt.LowerPolygon.from_slopes(shuffled) == poly
+        assert pt.LowerPolygon.from_vertices(ref.vertices) == poly
+        assert pt.LowerPolygon.from_runs((s, 1) for s in ref.slopes) == poly
+    assert (polys[0] == polys[1]) == (refs[0].slopes == refs[1].slopes)
+    for i, j in ((0, 1), (1, 0), (0, 0)):
+        assert_comparison_matches(polys[i], polys[j], refs[i], refs[j])
+    # an upper polygon sharing the endpoint: move one unit of slope rightwards
+    if len(first) >= 2 and refs[0].slopes[0] != refs[0].slopes[-1]:
+        moved = list(refs[0].slopes)
+        moved[0] += Fraction(1, 4)
+        moved[-1] -= Fraction(1, 4)
+        upper = pt.LowerPolygon.from_slopes(moved)
+        assert_comparison_matches(upper, polys[0], FractionPolygon(moved), refs[0])
+        assert_comparison_matches(polys[0], upper, refs[0], FractionPolygon(moved))
+
+
+small_det_matrices = (
+    square_matrices(max_n=4, lo=-3, hi=3, min_n=2)
+    .map(xm.IntMatrix.from_rows)
+    .filter(lambda m: 0 < abs(xm.determinant(m)) <= 60)
+)
+
+
+@given(
+    small_det_matrices,
+    st.lists(st.sampled_from(primes_below(400)), min_size=3, max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_diagonal_polygons_against_expanded_fractions(m, primes):
+    ds = dg.DiagonalSimplex.from_matrix(m)
+    norms = [e.norm for e in ds.group]
+    hodge = dg.hodge_polygon_diag(ds)
+    ref_hodge = FractionPolygon(norms)
+    assert hodge == pt.LowerPolygon.from_slopes(norms)
+    assert_matches_reference(hodge, ref_hodge)
+    for p in primes:
+        if ds.det % p == 0:
+            continue
+        expanded = [o.slope for o in dg.orbits(ds, p) for _ in range(o.degree)]
+        newton = dg.newton_polygon_diag(ds, p)
+        ref_newton = FractionPolygon(expanded)
+        assert newton == pt.LowerPolygon.from_slopes(expanded)
+        assert_matches_reference(newton, ref_newton)
+        assert_comparison_matches(newton, hodge, ref_newton, ref_hodge)
+        assert_comparison_matches(hodge, newton, ref_hodge, ref_newton)
 
 
 def random_support(rng, n, extra):
