@@ -185,7 +185,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
     ds = _diagonal_simplex(support)
     _require_prime(p)
     orbs = diagonal.orbits(ds, p)
-    np_poly = diagonal.newton_polygon_diag(ds, p)
+    np_poly = polytope.LowerPolygon.from_runs((o.slope, o.degree) for o in orbs)
     hp_poly = diagonal.hodge_polygon_diag(ds)
     verdict = diagonal.is_ordinary(ds, p)
     comparison = polytope.lies_above(np_poly, hp_poly)
@@ -357,7 +357,8 @@ def _principal_table(report: dict) -> tuple[list[str], list[list[str]]]:
         counts: dict[str, int] = {}
         for s in report["newton_polygon"]["slopes"]:
             counts[s] = counts.get(s, 0) + 1
-        rows = [[s, str(c)] for s, c in sorted(counts.items(), key=lambda kv: Fraction(kv[0]))]
+        # the slopes are non-decreasing, so the counts are already in order
+        rows = [[s, str(c)] for s, c in counts.items()]
         return header, rows
     if cmd == "ordinary-classes":
         return ["class"], [[c] for c in report["classes"]]

@@ -404,13 +404,13 @@ def admissible_check(delta_support, hyperplane_family) -> HyperplaneDecomp:
         bounds.append((offsets[-1], hi))
     else:
         bounds = [(lo, hi)]
-    base_ineqs = [(a, Fraction(b)) for a, b in pt.affine_facets(list(local.values()))]
+    base_ineqs = pt.affine_facets(list(local.values()))
     pieces = []
     support_local = set(local.values())
     for low, high in bounds:
         ineqs = base_ineqs + [
-            (tuple(-c for c in coeff), Fraction(c0 - low)),
-            (coeff, Fraction(high - c0)),
+            (tuple(-c for c in coeff), c0 - low),
+            (coeff, high - c0),
         ]
         vertices = _vertices_from_inequalities(ineqs, d)
         if not vertices or pt.affine_rank(vertices) != d:
@@ -437,18 +437,20 @@ def admissible_check(delta_support, hyperplane_family) -> HyperplaneDecomp:
 
 
 def _vertices_from_inequalities(ineqs, d):
-    """Vertices of {y : a.y <= b for all (a, b)} by brute-force basis solving."""
-    vertices = []
+    """Vertices of {y : a.y <= b for all (a, b)}, by brute force over bases.
+
+    A vertex y = x/t spans the kernel (x, t) of d homogenized rows (a, -b)
+    exactly when those rows' normals are independent, that is when t != 0.
+    """
+    found = set()
     for subset in itertools.combinations(ineqs, d):
-        sol = xm._solve_square(
-            [[Fraction(c) for c in a] for a, _ in subset],
-            [Fraction(b) for _, b in subset],
-        )
-        if sol is None:
+        k = xm.kernel_vector([a + (-b,) for a, b in subset])
+        if k is None or k[-1] == 0:
             continue
-        if all(pt._dot(a, sol) <= b for a, b in ineqs) and sol not in vertices:
-            vertices.append(sol)
-    return sorted(vertices)
+        *x, t = k
+        if all(pt._dot(a, x) <= b * t for a, b in ineqs):
+            found.add((tuple(x), t))
+    return sorted(tuple(Fraction(c, t) for c in x) for x, t in found)
 
 
 def regular_subdivision(n: int, d: int) -> tuple[tuple[LatticePoint, ...], ...]:

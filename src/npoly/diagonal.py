@@ -99,8 +99,10 @@ class DiagonalSimplex:
             polyhedron=pt.build(support),
             det=det,
         )
-        assert abs(det) == ds.polyhedron.normalized_volume
-        assert ds.snf.diag[-1] % ds.polyhedron.denominator == 0
+        if abs(det) != ds.polyhedron.normalized_volume:
+            raise AssertionError("|det M| differs from the normalized volume")
+        if ds.snf.diag[-1] % ds.polyhedron.denominator:
+            raise AssertionError("facet denominator does not divide d_n")
         return ds
 
     @classmethod
@@ -330,7 +332,8 @@ def denominator_divides(ds: DiagonalSimplex) -> DenominatorRelation:
     if any((c * dn).denominator != 1 for c in e):
         raise AssertionError("facet equation does not clear the invariant factor")
     den = lcm(*(c.denominator for c in e))
-    assert den == ds.polyhedron.denominator
+    if den != ds.polyhedron.denominator:
+        raise AssertionError("facet equation denominator differs from the polyhedron's")
     return DenominatorRelation(den, dn, dn % den == 0)
 
 

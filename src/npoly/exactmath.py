@@ -1,7 +1,10 @@
 """Exact integer and rational linear algebra for small dense systems.
 
-Everything works over Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere.
+One fraction-free (Bareiss) row echelon does all the elimination:
+determinants, ranks, one-dimensional kernels and rational solves are read
+off it in Python's arbitrary-precision integers. Rational rows have their
+denominators cleared first, and ``fractions.Fraction`` only appears in
+rational results. No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -9,6 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateInput, DegenerateMatrix
 
@@ -90,91 +95,101 @@ class SnfResult:
     diag: tuple[int, ...]
 
 
+def _integer_row(row) -> list[int]:
+    """A rational row scaled by the lcm of its denominators: same row space."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+
+    Returns (rows, pivots, sign): the nonzero echelon rows, their increasing
+    pivot columns and the sign of the row permutation. Columns without a
+    pivot are skipped. Every entry stays a minor of the input (Sylvester's
+    identity), so each division is exact, and the last pivot of a
+    nonsingular square matrix is its determinant up to that sign.
+    """
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    pivots = []
+    sign = prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        if not a[r][c]:
+            k = next((i for i in range(r + 1, nrows) if a[i][c]), None)
+            if k is None:
+                continue
+            a[r], a[k] = a[k], a[r]
+            sign = -sign
+        top = a[r][c:]
+        p = top[0]
+        for row in a[r + 1:]:
+            f = row[c]
+            row[c:] = [(x * p - f * y) // prev for x, y in zip(row[c:], top)]
+        prev = p
+        pivots.append(c)
+    return a[: len(pivots)], pivots, sign
+
+
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: the last pivot of the fraction-free echelon."""
     if not m.is_square:
         raise DegenerateMatrix("determinant requires a square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _echelon(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Row echelon form over the rationals; returns the nonzero rows."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    out = []
-    pivot_col = 0
-    while rows and pivot_col < ncols:
-        pivot_row = next((r for r in rows if r[pivot_col] != 0), None)
-        if pivot_row is None:
-            pivot_col += 1
-            continue
-        rows.remove(pivot_row)
-        inv = pivot_row[pivot_col]
-        pivot_row = [x / inv for x in pivot_row]
-        for r in rows:
-            if r[pivot_col] != 0:
-                f = r[pivot_col]
-                for j in range(pivot_col, ncols):
-                    r[j] -= f * pivot_row[j]
-        out.append(pivot_row)
-        pivot_col += 1
-    return out
+    rows, pivots, sign = _echelon(m.entries)
+    return sign * rows[-1][-1] if len(pivots) == m.rows else 0
 
 
 def rational_rank(vectors) -> int:
     """Rank over Q of a sequence of integer or rational vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return 0
-    return len(_echelon(rows))
+    return len(_echelon([_integer_row(v) for v in vectors])[1])
 
 
-def _solve_square(a: list[list[Fraction]], b: list[Fraction]):
-    """Solve a square rational system; None when the matrix is singular."""
-    n = len(a)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if aug[i][k] != 0), None)
-        if pivot is None:
-            return None
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        pk = aug[k][k]
-        aug[k] = [x / pk for x in aug[k]]
-        for i in range(n):
-            if i != k and aug[i][k] != 0:
-                f = aug[i][k]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-    return tuple(aug[i][n] for i in range(n))
+def kernel_vector(rows) -> LatticePoint | None:
+    """Primitive integer vector spanning the kernel of an integer or rational
+    matrix, by integer back-substitution on its echelon form.
+
+    None unless the kernel is one-dimensional. The last nonzero entry is
+    positive, so a solution x/t read off (x, t) has t > 0.
+    """
+    ncols = len(rows[0])
+    echelon, pivots, _ = _echelon([_integer_row(r) for r in rows])
+    if len(pivots) != ncols - 1:
+        return None
+    x = [0] * ncols
+    x[sum(range(ncols)) - sum(pivots)] = 1  # the one column without a pivot
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        s = sum(map(mul, row, x))  # x[c] is still 0
+        g = gcd(s, row[c])
+        scale = row[c] // g
+        if scale != 1:
+            x = [v * scale for v in x]
+        x[c] = -s // g
+    g = gcd(*x)
+    if next(v for v in reversed(x) if v) < 0:
+        g = -g
+    return tuple(v // g for v in x)
+
+
+def _solve(m: IntMatrix, u) -> tuple[LatticePoint, int]:
+    """Numerators x and denominator t > 0 of the solution x/t of M*r = u,
+    read off the one-dimensional kernel (x, t) of [M | -u]."""
+    if not m.is_square:
+        raise DegenerateMatrix("system matrix must be square")
+    if len(u) != m.rows:
+        raise DegenerateMatrix("right-hand side has wrong length")
+    k = kernel_vector([row + (-c,) for row, c in zip(m.entries, u)])
+    if k is None or k[-1] == 0:
+        raise DegenerateMatrix("singular system matrix")
+    return k[:-1], k[-1]
 
 
 def solve_unique(m: IntMatrix, u) -> RationalVector:
     """Unique rational solution of M*r = u for nonsingular M."""
-    if not m.is_square:
-        raise DegenerateMatrix("system matrix must be square")
-    rows = [[Fraction(x) for x in row] for row in m.entries]
-    rhs = [Fraction(x) for x in u]
-    if len(rhs) != m.rows:
-        raise DegenerateMatrix("right-hand side has wrong length")
-    sol = _solve_square(rows, rhs)
-    if sol is None:
-        raise DegenerateMatrix("singular system matrix")
-    return sol
+    x, t = _solve(m, u)
+    return tuple(Fraction(v, t) for v in x)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
@@ -182,11 +197,10 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     n = m.rows
     cols = []
     for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        col = solve_unique(m, e)
-        if any(c.denominator != 1 for c in col):
+        x, t = _solve(m, [int(i == j) for i in range(n)])
+        if t != 1:
             raise DegenerateMatrix("matrix is not unimodular")
-        cols.append([int(c) for c in col])
+        cols.append(x)
     return IntMatrix.from_columns(cols)
 
 
@@ -280,19 +294,22 @@ def snf(m: IntMatrix) -> SnfResult:
         raise DegenerateMatrix("singular matrix has no full invariant factor chain")
     diag = tuple(d[i][i] for i in range(m.rows))
     result = SnfResult(IntMatrix.from_rows(p), IntMatrix.from_rows(q), diag)
-    assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
-    assert result.P.mul(m).mul(result.Q).entries == tuple(
+    if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
+        raise AssertionError("Smith diagonal breaks the divisibility chain")
+    if result.P.mul(m).mul(result.Q).entries != tuple(
         tuple(diag[i] * int(i == j) for j in range(m.rows)) for i in range(m.rows)
-    )
+    ):
+        raise AssertionError("P*M*Q does not reconstruct the Smith diagonal")
     return result
 
 
 def lp_min_sum(generators, u) -> Fraction | None:
     """Exact minimum of sum(t_j) over t >= 0 with sum(t_j * V_j) = u.
 
-    Solved by enumerating basic solutions of the row-reduced system, which
-    is exact and adequate at the generator counts used here. Returns None
-    when u is not a nonnegative combination of the generators.
+    Solved by enumerating basic solutions of the echelon system, each the
+    kernel of a square block of it next to -u, which is exact and adequate
+    at the generator counts used here. Returns None when u is not a
+    nonnegative combination of the generators.
     """
     gens = [tuple(int(c) for c in g) for g in generators]
     if not gens:
@@ -304,25 +321,15 @@ def lp_min_sum(generators, u) -> Fraction | None:
     if all(c == 0 for c in u):
         return Fraction(0)
     count = len(gens)
-    aug = [[Fraction(g[i]) for g in gens] + [Fraction(u[i])] for i in range(n)]
-    reduced = _echelon(aug)
-    sys_rows = []
-    for row in reduced:
-        if all(x == 0 for x in row[:count]):
-            if row[count] != 0:
-                return None  # u outside the linear span of the generators
+    rows, pivots, _ = _echelon([[g[i] for g in gens] + [-u[i]] for i in range(n)])
+    if pivots[-1] == count:
+        return None  # u outside the linear span of the generators
+    best = None  # (sum of numerators, positive denominator)
+    for subset in itertools.combinations(range(count), len(pivots)):
+        k = kernel_vector([[row[j] for j in subset] + [row[count]] for row in rows])
+        if k is None or k[-1] == 0 or min(k) < 0:
             continue
-        sys_rows.append(row)
-    r = len(sys_rows)
-    best = None
-    for subset in itertools.combinations(range(count), r):
-        sol = _solve_square(
-            [[row[j] for j in subset] for row in sys_rows],
-            [row[count] for row in sys_rows],
-        )
-        if sol is None or any(t < 0 for t in sol):
-            continue
-        total = sum(sol, Fraction(0))
-        if best is None or total < best:
+        total = (sum(k) - k[-1], k[-1])
+        if best is None or total[0] * best[1] < best[0] * total[1]:
             best = total
-    return best
+    return None if best is None else Fraction(*best)

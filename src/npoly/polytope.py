@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from . import exactmath as xm
 from .errors import DegenerateInput, IncomparablePolygons, NotFullDimensional
@@ -43,21 +43,6 @@ def affine_rank(points) -> int:
         return 0
     base = pts[0]
     return xm.rational_rank([_sub(p, base) for p in pts[1:]])
-
-
-def cross_normal(vectors, n: int) -> LatticePoint:
-    """Integer vector orthogonal to n-1 vectors in Z^n (signed maximal minors).
-
-    Zero exactly when the vectors do not span an (n-1)-dimensional space.
-    """
-    if n == 1:
-        return (1,)
-    out = []
-    for j in range(n):
-        minor = [[v[i] for i in range(n) if i != j] for v in vectors]
-        d = xm.determinant(xm.IntMatrix.from_rows(minor))
-        out.append(d if j % 2 == 0 else -d)
-    return tuple(out)
 
 
 class AffineChart:
@@ -115,8 +100,8 @@ def affine_facets(points) -> list[tuple[LatticePoint, int]]:
     found = {}
     for subset in itertools.combinations(pts, d):
         base = subset[0]
-        a = cross_normal([_sub(p, base) for p in subset[1:]], d)
-        if all(c == 0 for c in a):
+        a = xm.kernel_vector([_sub(p, base) for p in subset[1:]])
+        if a is None:
             continue
         b = _dot(a, base)
         side = [_dot(a, p) - b for p in pts]
@@ -127,8 +112,7 @@ def affine_facets(points) -> list[tuple[LatticePoint, int]]:
             b = -b
         else:
             continue
-        g = gcd(*a)
-        found[(tuple(c // g for c in a), b // g)] = True
+        found[(a, b)] = True
     return sorted(found)
 
 

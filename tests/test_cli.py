@@ -2,7 +2,7 @@
 
 import json
 
-from npoly import cli
+from npoly import cli, diagonal
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -83,6 +83,22 @@ class TestDiagonal:
         report = json.loads(out)
         assert report["ordinary"] is True
         assert report["newton_polygon"]["slopes"] == ["0", "1/4", "1/2", "3/4"]
+
+    def test_orbits_walked_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        walk = diagonal.orbits
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(diagonal, "orbits", counted)
+        path = write_doc(tmp_path, FIVE_DIM)
+        for fmt in ("json", "text", "csv"):
+            calls.clear()
+            code, _, _ = run_cli(capsys, ["diagonal", path, "-p", "7", "--format", fmt])
+            assert code == 0
+            assert len(calls) == 1
 
     def test_shape_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, KLOOSTERMAN)

@@ -110,6 +110,26 @@ class TestSnf:
         with pytest.raises(DegenerateMatrix):
             xm.snf(xm.IntMatrix.from_rows([[1, 2], [2, 4]]))
 
+    @pytest.mark.parametrize(
+        "diagonal, message",
+        [
+            # (2, 1) breaks the chain; (1, 2) keeps it but P*M*Q no longer matches
+            ([[2, 0], [0, 1]], "divisibility"),
+            ([[1, 0], [0, 2]], "reconstruct"),
+        ],
+    )
+    def test_wrong_smith_diagonal_is_refused(self, monkeypatch, diagonal, message):
+        # explicit checks, not asserts: this must also raise under python -O
+        engine = xm.smith_engine
+
+        def wrong(entries):
+            p, _, q, rank = engine(entries)
+            return p, diagonal, q, rank
+
+        monkeypatch.setattr(xm, "smith_engine", wrong)
+        with pytest.raises(AssertionError, match=message):
+            xm.snf(xm.IntMatrix.identity(2))
+
 
 class TestSolveUnique:
     def test_identity(self):
