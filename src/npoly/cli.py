@@ -12,6 +12,7 @@ Integers may be given as decimal strings so that other tools never need
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -283,6 +284,8 @@ def cmd_decompose(
 
 def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
     ds = _diagonal_simplex(support)
+    if bound > polytope.ENUMERATION_LIMIT:
+        raise DegenerateInput(f"bound {bound} is too large at stage scan")
     dn = ds.largest_invariant_factor
     res = diagonal.ordinary_residues(ds)
     rows = []
@@ -457,7 +460,9 @@ def render_text(report: dict) -> str:
 RENDERERS = {"text": render_text, "json": render_json, "csv": render_csv}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `np` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="np",
         description="Exact Hodge and Newton polygon computations for lattice supports.",

@@ -31,7 +31,6 @@ class FacePiece:
 
     facet: pt.Facet
     restricted_support: tuple[LatticePoint, ...]
-    sub_polyhedron: pt.NewtonPolyhedron
     is_diagonal: bool
 
 
@@ -87,19 +86,10 @@ class HyperplaneDecomp:
 
 def facial_decompose(support: pt.Support) -> tuple[FacePiece, ...]:
     """One piece per away-facet; points on several facets appear in each."""
-    poly = pt.build(support)
     pieces = []
-    for facet in poly.facets_away_from_origin:
+    for facet in pt.build(support).facets_away_from_origin:
         pts = tuple(support.points[i] for i in facet.vertex_indices)
-        sub = pt.build(pt.Support(support.dim, pts))
-        pieces.append(
-            FacePiece(
-                facet=facet,
-                restricted_support=pts,
-                sub_polyhedron=sub,
-                is_diagonal=len(pts) == support.dim,
-            )
-        )
+        pieces.append(FacePiece(facet, pts, is_diagonal=len(pts) == support.dim))
     return tuple(pieces)
 
 
@@ -173,9 +163,23 @@ def collapse_step(vset, chosen) -> tuple[tuple[LatticePoint, ...], ...]:
         raise DegenerateInput("chosen point is not in the set")
     if len(pts) == n:
         return (pts,)
-    rest = tuple(p for p in pts if p != chosen)
+    return _step(pts, n, _local_coordinates(pts), chosen)
+
+
+def _local_coordinates(pts) -> dict:
+    """Each point of a validated set in the set's own affine chart."""
     chart = pt.AffineChart(pts)
-    local = {p: chart.to_local(p) for p in pts}
+    return {p: chart.to_local(p) for p in pts}
+
+
+def _step(pts, n, local, chosen):
+    """collapse_step on a validated set of more than n points, in its chart.
+
+    Each returned piece is checked to span the chart, which is all that
+    validating it as a new input would add, so the pieces can be split or
+    scored directly.
+    """
+    rest = tuple(p for p in pts if p != chosen)
     rest_local = [local[p] for p in rest]
     # a lower-dimensional remainder cannot contain the chosen point
     if pt.affine_rank(rest_local) != n - 1:
@@ -190,15 +194,16 @@ def collapse_step(vset, chosen) -> tuple[tuple[LatticePoint, ...], ...]:
         cone_facets = pt.affine_facets(
             [q for q in rest_local if pt._dot(a, q) == b] + [local[chosen]]
         )
-        pieces.append(tuple(p for p in pts if pt._satisfies(cone_facets, local[p])))
+        piece = tuple(p for p in pts if pt._satisfies(cone_facets, local[p]))
+        if pt.affine_rank([local[p] for p in piece]) != n - 1:
+            raise DegenerateInput("point set must span a codimension-1 affine subspace")
+        pieces.append(piece)
     return tuple(pieces)
 
 
-def _valid_choices(pts, n):
+def _valid_choices(pts, n, local):
     """Hull vertices (the facet normals through them have rank n - 1) whose
     removal keeps the set full-dimensional."""
-    chart = pt.AffineChart(pts)
-    local = {p: chart.to_local(p) for p in pts}
     facets = pt.affine_facets(list(local.values()))
     out = []
     for p in pts:
@@ -209,12 +214,14 @@ def _valid_choices(pts, n):
     return out
 
 
-def _piece_factor(piece) -> int:
-    m = xm.IntMatrix.from_columns(piece)
-    return xm.snf(m).diag[-1]
+def _piece_factor(piece, factors: dict) -> int:
+    """Largest invariant factor of an n-point piece, memoised in `factors`."""
+    if piece not in factors:
+        factors[piece] = xm.snf(xm.IntMatrix.from_columns(piece)).diag[-1]
+    return factors[piece]
 
 
-def _greedy_collapse(pts, n, pick):
+def _greedy_collapse(pts, n, pick, factors):
     stack = [pts]
     final = []
     log = []
@@ -223,34 +230,37 @@ def _greedy_collapse(pts, n, pick):
         if len(cur) == n:
             final.append(cur)
             continue
-        choices = _valid_choices(cur, n)
+        local = _local_coordinates(cur)
+        choices = _valid_choices(cur, n, local)
         if not choices:
             raise DegenerateInput("no vertex can be removed without degenerating")
-        chosen = pick(cur, choices)
+        chosen, pieces = pick(cur, n, local, choices, factors)
         log.append(chosen)
-        pieces = collapse_step(cur, chosen)
         stack.extend(pieces)
     return final, log
 
 
-def _pick_first_lex(cur, choices):
-    return min(choices)
+def _pick_first_lex(cur, n, local, choices, factors):
+    chosen = min(choices)
+    return chosen, _step(cur, n, local, chosen)
 
 
-def _pick_max_invariant_factor(cur, choices):
-    """Prefer the vertex whose step peels off the largest invariant factor."""
+def _pick_max_invariant_factor(cur, n, local, choices, factors):
+    """Prefer the vertex whose step peels off the largest invariant factor;
+    returns it with the pieces of its step."""
     best = None
     for cand in sorted(choices):
-        score = 0
-        for piece in collapse_step(cur, cand):
-            if len(piece) == len(cur[0]):
-                score = max(score, _piece_factor(piece))
+        pieces = _step(cur, n, local, cand)
+        score = max(
+            (_piece_factor(piece, factors) for piece in pieces if len(piece) == n),
+            default=0,
+        )
         if best is None or score > best[0]:
-            best = (score, cand)
-    return best[1]
+            best = (score, cand, pieces)
+    return best[1], best[2]
 
 
-def _achievable_collapses(pts, n, memo):
+def _achievable_collapses(pts, n, memo, factors):
     """All achievable dstar values for a point set, with one witness each.
 
     The overall dstar is an lcm over pieces, which is not monotone in the
@@ -262,18 +272,18 @@ def _achievable_collapses(pts, n, memo):
     if key in memo:
         return memo[key]
     if len(pts) == n:
-        f = _piece_factor(pts)
-        memo[key] = {f: ((pts,), ())}
+        memo[key] = {_piece_factor(pts, factors): ((pts,), ())}
         return memo[key]
     out: dict = {}
-    candidates = sorted(_valid_choices(pts, n))
+    local = _local_coordinates(pts)
+    candidates = sorted(_valid_choices(pts, n, local))
     if not candidates:
         raise DegenerateInput("no vertex can be removed without degenerating")
     for cand in candidates:
-        pieces = collapse_step(pts, cand)
+        pieces = _step(pts, n, local, cand)
         combos = {1: ((), ())}
         for piece in pieces:
-            child = _achievable_collapses(piece, n, memo)
+            child = _achievable_collapses(piece, n, memo, factors)
             merged = {}
             for v0 in sorted(combos):
                 ps0, log0 = combos[v0]
@@ -296,24 +306,26 @@ def complete_collapse(vset, strategy: str = "first-lex") -> CollapseResult:
 
     The vertex picked at each step is strategy-dependent; no choice rule is
     known to be optimal, so the strategy is an explicit parameter. Pieces
-    are reported once each, although they may share points.
+    are reported once each, although they may share points. Each split
+    point set gets one chart, and each piece one Smith normal form.
     """
     pts, n = _validate_collapse_input(vset)
     if strategy not in STRATEGIES:
         raise DegenerateInput(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
+    factors: dict = {}
     if strategy == "exhaustive-min-dstar":
-        achievable = _achievable_collapses(pts, n, {})
+        achievable = _achievable_collapses(pts, n, {}, factors)
         pieces, log = achievable[min(achievable)]
         final, choice_log = list(pieces), list(log)
     else:
         pick = _pick_first_lex if strategy == "first-lex" else _pick_max_invariant_factor
-        final, choice_log = _greedy_collapse(pts, n, pick)
+        final, choice_log = _greedy_collapse(pts, n, pick, factors)
     unique = list(dict.fromkeys(tuple(sorted(piece)) for piece in final))
-    factors = tuple(_piece_factor(piece) for piece in unique)
+    piece_factors = tuple(_piece_factor(piece, factors) for piece in unique)
     return CollapseResult(
         pieces=tuple(unique),
-        piece_invariant_factors=factors,
-        dstar=lcm(*factors) if factors else 1,
+        piece_invariant_factors=piece_factors,
+        dstar=lcm(*piece_factors) if piece_factors else 1,
         choice_log=tuple(choice_log),
     )
 
@@ -473,11 +485,13 @@ def regular_subdivision(n: int, d: int) -> tuple[tuple[LatticePoint, ...], ...]:
                 verts.append(tuple(bump))
             if all(_inside_cumulative(v, n, d) for v in verts):
                 cells.append(tuple(verts))
-    assert len(cells) == d**n
+    if len(cells) != d**n:
+        raise AssertionError(f"{len(cells)} cells survive, expected {d**n}")
     out = []
     for cell in cells:
         out.append(tuple(sorted(_from_cumulative(v) for v in cell)))
-    assert len(set(out)) == len(out)
+    if len(set(out)) != len(out):
+        raise AssertionError("two cells of the subdivision coincide")
     return tuple(sorted(out))
 
 

@@ -20,7 +20,8 @@ from .errors import DegenerateInput, IncomparablePolygons, NotFullDimensional
 
 LatticePoint = xm.LatticePoint
 
-# Bounding-box scans refuse to enumerate more points than this.
+# Bounding-box scans, Hodge tables, groups and prime scans refuse to
+# enumerate more elements than this.
 ENUMERATION_LIMIT = 5_000_000
 
 
@@ -409,13 +410,27 @@ class NewtonPolyhedron:
     support: Support
     facets_away_from_origin: tuple[Facet, ...]
     denominator: int
-    normalized_volume: int
     cone_normals: tuple[LatticePoint, ...]
     _hodge: HodgeData | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.support.dim
+
+    @cached_property
+    def normalized_volume(self) -> int:
+        """Sum over the away-facets F of b_F times vol(F), computed on first read.
+
+        Coning F from the origin gives a pyramid of lattice height b_F, and
+        these pyramids tile the polyhedron.
+        """
+        pts = self.support.points
+        volume = 0
+        for f in self.facets_away_from_origin:
+            face = [pts[i] for i in f.vertex_indices]
+            chart = AffineChart(face)
+            volume += f.b * normalized_volume([chart.to_local(p) for p in face])
+        return volume
 
     def in_cone(self, u) -> bool:
         return all(_dot(g, u) >= 0 for g in self.cone_normals)
@@ -441,7 +456,8 @@ class NewtonPolyhedron:
 
         W(k) counts lattice points of weight k/D by scanning the bounding box
         of the n-fold dilation; H(k) applies the alternating binomial
-        correction and must sum to the normalized volume.
+        correction and must sum to the normalized volume. A table of more
+        than ENUMERATION_LIMIT rows (k = 0..n*D) is refused before allocation.
         """
         if self._hodge is not None:
             return self._hodge
@@ -449,7 +465,10 @@ class NewtonPolyhedron:
         d = self.denominator
         kmax = n * d
         dilated = [tuple(n * c for c in p) for p in self.support.points] + [(0,) * n]
-        box = _bounding_box(dilated)  # refuse an oversized box before allocating
+        # refuse an oversized box or table before allocating
+        box = _bounding_box(dilated)
+        if kmax + 1 > ENUMERATION_LIMIT:
+            raise DegenerateInput(f"table of {kmax + 1} rows is too large at stage hodge")
         w_counts = {k: 0 for k in range(kmax + 1)}
         for u in itertools.product(*box):
             k = self._scaled_weight(u)
@@ -461,9 +480,11 @@ class NewtonPolyhedron:
                 (-1) ** i * comb(n, i) * w_counts.get(k - i * d, 0)
                 for i in range(n + 1)
             )
-            assert h >= 0
+            if h < 0:
+                raise AssertionError(f"negative Hodge number H({k}) = {h}")
             h_counts[k] = h
-        assert sum(h_counts.values()) == self.normalized_volume
+        if sum(h_counts.values()) != self.normalized_volume:
+            raise AssertionError("Hodge numbers do not sum to the normalized volume")
         runs = ((Fraction(k, d), h) for k, h in h_counts.items())
         self._hodge = HodgeData(w_counts, h_counts, LowerPolygon.from_runs(runs))
         return self._hodge
@@ -475,7 +496,7 @@ class NewtonPolyhedron:
         """Whether the rays of u and u2 meet a common closed away-facet.
 
         Equivalent to additivity of the weight at u + u2, which is verified
-        in debug mode.
+        on every call.
         """
         u = tuple(int(c) for c in u)
         u2 = tuple(int(c) for c in u2)
@@ -490,18 +511,18 @@ class NewtonPolyhedron:
             _dot(f.a, u) * (d // f.b) == k1 and _dot(f.a, u2) * (d // f.b) == k2
             for f in self.facets_away_from_origin
         )
-        assert shared == (self._scaled_weight(_add(u, u2)) == k1 + k2)
+        if shared != (self._scaled_weight(_add(u, u2)) == k1 + k2):
+            raise AssertionError("cofaciality disagrees with weight additivity")
         return shared
 
 
 def build(support: Support) -> NewtonPolyhedron:
-    """Newton polyhedron of a support: away-facets, denominator, volume, cone.
+    """Newton polyhedron of a support: away-facets, denominator and cone.
 
     Everything comes from one facet enumeration of the hull of the support
     and the origin. Facets a.x <= b with b > 0 avoid the origin; those with
-    b = 0 bound the cone. Coning each away-facet from the origin gives a
-    pyramid of lattice height b, so the normalized volume is the sum of b
-    times the facet's own normalized volume.
+    b = 0 bound the cone. The normalized volume is derived from the
+    away-facets when first read.
     """
     n = support.dim
     pts = support.points
@@ -514,15 +535,9 @@ def build(support: Support) -> NewtonPolyhedron:
         incident = tuple(i for i, p in enumerate(pts) if _dot(a, p) == b)
         away.append(Facet(a, b, incident))
     away.sort(key=lambda f: f.normal)
-    volume = 0
-    for f in away:
-        face = [pts[i] for i in f.vertex_indices]
-        chart = AffineChart(face)
-        volume += f.b * normalized_volume([chart.to_local(p) for p in face])
     return NewtonPolyhedron(
         support=support,
         facets_away_from_origin=tuple(away),
         denominator=lcm(*(f.b for f in away)),
-        normalized_volume=volume,
         cone_normals=tuple(sorted(cone)),
     )

@@ -1,5 +1,8 @@
 """Deterministic Miller-Rabin primality testing and prime enumeration."""
 
+from itertools import compress
+from math import isqrt
+
 # The first 13 prime bases decide primality for every n below this bound
 # (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017);
 # the first 12 are fooled by 318665857834031151167461.
@@ -35,4 +38,12 @@ def is_prime(n: int) -> bool:
 
 
 def primes_below(bound: int) -> list[int]:
-    return [n for n in range(2, bound) if is_prime(n)]
+    """The primes p < bound, by a sieve of Eratosthenes."""
+    if bound < 3:
+        return []
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(bound - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return list(compress(range(bound), sieve))

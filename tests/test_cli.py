@@ -2,7 +2,7 @@
 
 import json
 
-from npoly import cli, diagonal
+from npoly import cli, diagonal, polytope
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -21,6 +21,9 @@ KLOOSTERMAN = {"n": 2, "support": [[1, 0], [0, 1], [-1, -1]]}
 FIVE_DIM = {"family": {"name": "five_dim", "parameters": {}}}
 MONOMIAL_3 = {"family": {"name": "monomial", "parameters": {"d": 3}}}
 MONOMIAL_4 = {"family": {"name": "monomial", "parameters": {"d": 4}}}
+# normalized volume 194, but a weight table of 569,423,674 rows
+HUGE_TABLE = {"n": 3, "support": [[-1, -2, 3], [-1, 3, -1], [2, -3, -3], [2, 0, 1],
+                                  [3, 3, 2]]}
 
 
 class TestHodge:
@@ -300,6 +303,22 @@ class TestInputHandling:
             assert err.startswith("error:") and "too large" in err
             assert "Traceback" not in err
 
+    def test_oversized_hodge_table_refused(self, tmp_path, capsys):
+        path = write_doc(tmp_path, HUGE_TABLE)
+        for fmt in sorted(cli.RENDERERS):
+            code, out, err = run_cli(capsys, ["hodge", path, "--format", fmt])
+            assert code == 2
+            assert out == ""
+            assert err == "error: table of 569423674 rows is too large at stage hodge\n"
+
+    def test_oversized_scan_bound_refused(self, tmp_path, capsys):
+        path = write_doc(tmp_path, MONOMIAL_3)
+        bound = str(polytope.ENUMERATION_LIMIT + 1)
+        code, out, err = run_cli(capsys, ["scan", path, "--bound", bound])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: bound {bound} is too large at stage scan\n"
+
     def test_family_and_support_exclusive(self, tmp_path, capsys):
         doc = dict(KLOOSTERMAN)
         doc["family"] = {"name": "monomial", "parameters": {"d": 3}}
@@ -349,3 +368,42 @@ class TestInputHandling:
         code, out, _ = run_cli(capsys, ["hodge", path])
         assert code == 0
         assert out.startswith("command: hodge")
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_matches_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, MONOMIAL_3)
+        calls = [
+            ["hodge", path, "--format", "json"],
+            ["diagonal", path, "-p", "7"],
+            ["diagonal", path],  # argparse error: -p is required
+            ["decompose", path, "--strategy", "max-invariant-factor", "-p", "13",
+             "--format", "csv"],
+            ["scan", path, "--bound", "x"],  # argparse error: not an integer
+            ["decompose", path],
+            ["no-such-command", path],
+            ["ordinary-classes", path, "--format", "text"],
+            ["scan", path, "--bound", "40", "--format", "json"],
+            ["hodge", "--help"],
+            ["hodge", path],
+        ]
+
+        def run_all():
+            outcomes = []
+            for argv in calls:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = ("exit", exc.code)
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+            return outcomes
+
+        shared = run_all()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = run_all()
+        assert shared == fresh
+        assert [code for code, _, _ in shared][:3] == [0, 0, ("exit", 2)]

@@ -14,7 +14,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from npoly import catalog, cli, decompose
@@ -136,6 +136,12 @@ def commands(draw):
 
 
 @given(texts(), commands(), st.sampled_from(sorted(cli.RENDERERS)))
+@example(  # volume 194, but its hodge table would have 569,423,674 rows
+    text=json.dumps({"n": 3, "support": [[-1, -2, 3], [-1, 3, -1], [2, -3, -3],
+                                         [2, 0, 1], [3, 3, 2]]}),
+    command=["hodge"],
+    fmt="text",
+)
 @settings(max_examples=400, deadline=None)
 def test_every_document_gets_a_documented_exit(text, command, fmt):
     with tempfile.TemporaryDirectory() as tmp:

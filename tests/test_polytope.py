@@ -14,6 +14,9 @@ from npoly.errors import (
 
 KLOOSTERMAN_2 = pt.Support(2, ((1, 0), (0, 1), (-1, -1)))
 
+# normalized volume 194, but a weight table of 3*D + 1 = 569,423,674 rows
+HUGE_TABLE = pt.Support(3, ((-1, -2, 3), (-1, 3, -1), (2, -3, -3), (2, 0, 1), (3, 3, 2)))
+
 FIVE_DIM_COLUMNS = tuple(
     xm.IntMatrix.from_rows(
         [
@@ -72,6 +75,18 @@ class TestBuild:
         assert five_dim_poly.denominator == 1
         assert five_dim_poly.normalized_volume == 3
 
+    def test_volume_is_computed_on_first_read_only(self, monkeypatch):
+        volumes = []
+        volume = pt.normalized_volume
+        monkeypatch.setattr(pt, "normalized_volume",
+                            lambda p: volumes.append(p) or volume(p))
+        poly = pt.build(KLOOSTERMAN_2)
+        assert volumes == []
+        assert poly.normalized_volume == 3
+        assert len(volumes) == len(poly.facets_away_from_origin)
+        assert poly.normalized_volume == 3
+        assert len(volumes) == len(poly.facets_away_from_origin)
+
 
 class TestWeight:
     def test_origin(self):
@@ -117,6 +132,19 @@ class TestHodge:
         poly = pt.build(support)
         det = abs(xm.determinant(xm.IntMatrix.from_columns(support.points)))
         assert sum(poly.hodge_data().H.values()) == det == poly.normalized_volume
+
+    def test_wrong_volume_is_caught(self):
+        poly = pt.build(KLOOSTERMAN_2)
+        poly.normalized_volume = 4  # in place of the true volume 3
+        with pytest.raises(AssertionError, match="normalized volume"):
+            poly.hodge_data()
+
+    def test_oversized_table_refused_before_allocation(self):
+        poly = pt.build(HUGE_TABLE)
+        assert poly.dim * poly.denominator + 1 == 569_423_674
+        assert poly.normalized_volume == 194
+        with pytest.raises(DegenerateInput, match="569423674 rows is too large at stage hodge"):
+            poly.hodge_data()
 
     def test_denominator_attained(self):
         # some lattice point has weight with the full denominator
