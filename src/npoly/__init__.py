@@ -1,6 +1,6 @@
 """Exact Hodge and Newton polygons for exponential sums over finite fields."""
 
-from .exactmath import IntMatrix, SnfResult, determinant, lp_min_sum, snf, solve_unique
+from .exactmath import IntMatrix, SnfResult, determinant, snf, solve_unique
 from .polytope import (
     Dominance,
     LowerPolygon,
@@ -42,7 +42,6 @@ __all__ = [
     "IntMatrix",
     "SnfResult",
     "determinant",
-    "lp_min_sum",
     "snf",
     "solve_unique",
     "Dominance",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm, prod
 
 from . import decompose as dc
 from . import diagonal as dg
@@ -172,7 +172,7 @@ def _box(params):
     facts = [
         ("denominator", 1),
         ("away_facet_count", 1),
-        ("lfunction_degree", _factorial(n) * _product(dims)),
+        ("lfunction_degree", factorial(n) * prod(dims)),
     ]
     if all(d == 1 for d in dims):
         facts.append(("dstar", 1))
@@ -246,20 +246,6 @@ def _four_dim(params):
         ("largest_invariant_factor", big_d**k),
         ("det_abs", big_d ** (k + 1)),
     )
-
-
-def _product(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 _BUILDERS = {

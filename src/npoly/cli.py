@@ -64,10 +64,6 @@ def _fmt_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _fmt_weight(x) -> str:
-    return "inf" if x is None else _fmt_rational(x)
-
-
 def _fmt_point(p) -> list[str]:
     return [str(int(c)) for c in p]
 
@@ -288,6 +284,9 @@ def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
         raise DegenerateInput(f"bound {bound} is too large at stage scan")
     dn = ds.largest_invariant_factor
     res = diagonal.ordinary_residues(ds)
+    # a prime coprime to det M acts as its residue mod d_n, and the classes
+    # list residues in 1..d_n (the class of 1 when d_n = 1)
+    classes = set(res.classes)
     rows = []
     ordinary_count = 0
     tested = 0
@@ -295,7 +294,7 @@ def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
         if gcd(p, ds.group_order) != 1:
             rows.append({"p": str(p), "residue": str(p % dn), "verdict": "excluded"})
             continue
-        verdict = diagonal.is_ordinary(ds, p).ordinary
+        verdict = (p % dn or dn) in classes
         tested += 1
         ordinary_count += int(verdict)
         rows.append(

@@ -449,20 +449,18 @@ def admissible_check(delta_support, hyperplane_family) -> HyperplaneDecomp:
 
 
 def _vertices_from_inequalities(ineqs, d):
-    """Vertices of {y : a.y <= b for all (a, b)}, by brute force over bases.
+    """Vertices of {y : a.y <= b for all (a, b)}, sorted.
 
-    A vertex y = x/t spans the kernel (x, t) of d homogenized rows (a, -b)
-    exactly when those rows' normals are independent, that is when t != 0.
+    A vertex y = x/t is an extreme ray (x, t) with t > 0 of the cone cut out
+    by the homogenized rows (a, -b) and t >= 0; rays with t = 0 are
+    recession directions.
     """
-    found = set()
-    for subset in itertools.combinations(ineqs, d):
-        k = xm.kernel_vector([a + (-b,) for a, b in subset])
-        if k is None or k[-1] == 0:
-            continue
-        *x, t = k
-        if all(pt._dot(a, x) <= b * t for a, b in ineqs):
-            found.add((tuple(x), t))
-    return sorted(tuple(Fraction(c, t) for c in x) for x, t in found)
+    rows = [tuple(a) + (-b,) for a, b in ineqs] + [(0,) * d + (-1,)]
+    return sorted(
+        tuple(Fraction(c, z[-1]) for c in z[:-1])
+        for z in pt._extreme_rays(rows)
+        if z[-1] > 0
+    )
 
 
 def regular_subdivision(n: int, d: int) -> tuple[tuple[LatticePoint, ...], ...]:

@@ -9,13 +9,12 @@ rational results. No floating point is used anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DegenerateInput, DegenerateMatrix
+from .errors import DegenerateMatrix
 
 LatticePoint = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
@@ -301,35 +300,3 @@ def snf(m: IntMatrix) -> SnfResult:
     ):
         raise AssertionError("P*M*Q does not reconstruct the Smith diagonal")
     return result
-
-
-def lp_min_sum(generators, u) -> Fraction | None:
-    """Exact minimum of sum(t_j) over t >= 0 with sum(t_j * V_j) = u.
-
-    Solved by enumerating basic solutions of the echelon system, each the
-    kernel of a square block of it next to -u, which is exact and adequate
-    at the generator counts used here. Returns None when u is not a
-    nonnegative combination of the generators.
-    """
-    gens = [tuple(int(c) for c in g) for g in generators]
-    if not gens:
-        raise DegenerateInput("empty generator set")
-    n = len(gens[0])
-    if any(len(g) != n for g in gens) or len(u) != n:
-        raise DegenerateInput("generator/target dimension mismatch")
-    u = tuple(int(c) for c in u)
-    if all(c == 0 for c in u):
-        return Fraction(0)
-    count = len(gens)
-    rows, pivots, _ = _echelon([[g[i] for g in gens] + [-u[i]] for i in range(n)])
-    if pivots[-1] == count:
-        return None  # u outside the linear span of the generators
-    best = None  # (sum of numerators, positive denominator)
-    for subset in itertools.combinations(range(count), len(pivots)):
-        k = kernel_vector([[row[j] for j in subset] + [row[count]] for row in rows])
-        if k is None or k[-1] == 0 or min(k) < 0:
-            continue
-        total = (sum(k) - k[-1], k[-1])
-        if best is None or total[0] * best[1] < best[0] * total[1]:
-            best = total
-    return None if best is None else Fraction(*best)

@@ -1,9 +1,9 @@
 """Newton polyhedra of lattice supports: facets, weights, Hodge data.
 
-Also houses the small exact-geometry toolkit (affine lattice charts,
-brute-force facet enumeration, pulling triangulation, hull membership)
-that the decomposition machinery builds on. All coordinates are integers
-or ``fractions.Fraction``.
+Also houses the small exact-geometry toolkit (affine lattice charts, one
+brute-force extreme-ray sweep for facets and vertices, pulling
+triangulation) that the decomposition machinery builds on. All
+coordinates are integers or ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
+from operator import mul
 
 from . import exactmath as xm
 from .errors import DegenerateInput, IncomparablePolygons, NotFullDimensional
@@ -85,45 +86,43 @@ class AffineChart:
         return tuple(b + c for b, c in zip(self.base, self._bwd.mul_vector(full)))
 
 
+def _extreme_rays(rows) -> list[LatticePoint]:
+    """Extreme rays of the cone {z : G.z <= 0} for integer rows G in Z^N.
+
+    Brute force over the (N-1)-subsets of rows: each subset with a
+    one-dimensional kernel gives a primitive kernel vector z, kept with the
+    sign, if any, that satisfies every row. Returned sorted. Facets of a
+    hull and vertices of an inequality system are both read off this sweep.
+    """
+    found = set()
+    for subset in itertools.combinations(rows, len(rows[0]) - 1):
+        z = xm.kernel_vector(subset)
+        if z is None:
+            continue
+        sides = [sum(map(mul, row, z)) for row in rows]
+        if max(sides) <= 0:
+            found.add(z)
+        elif min(sides) >= 0:
+            found.add(tuple(-c for c in z))
+    return sorted(found)
+
+
 def affine_facets(points) -> list[tuple[LatticePoint, int]]:
     """Facets of the hull of full-dimensional lattice points in Z^d.
 
-    Returns primitive pairs (a, b) with a.x <= b valid on the hull and
-    equality exactly on the facet, found by brute force over d-subsets.
+    Returns sorted primitive pairs (a, b) with a.x <= b valid on the hull
+    and equality exactly on the facet: the extreme rays (a, -b) of the cone
+    of pairs with a.p - b <= 0 at every point p.
     """
     pts = [tuple(int(c) for c in p) for p in dict.fromkeys(map(tuple, points))]
     d = len(pts[0])
     if affine_rank(pts) != d:
         raise DegenerateInput("facet enumeration needs a full-dimensional hull")
-    if d == 1:
-        vals = [p[0] for p in pts]
-        return [((1,), max(vals)), ((-1,), -min(vals))]
-    found = {}
-    for subset in itertools.combinations(pts, d):
-        base = subset[0]
-        a = xm.kernel_vector([_sub(p, base) for p in subset[1:]])
-        if a is None:
-            continue
-        b = _dot(a, base)
-        side = [_dot(a, p) - b for p in pts]
-        if all(s <= 0 for s in side):
-            pass
-        elif all(s >= 0 for s in side):
-            a = tuple(-c for c in a)
-            b = -b
-        else:
-            continue
-        found[(a, b)] = True
-    return sorted(found)
+    return sorted((z[:-1], -z[-1]) for z in _extreme_rays([p + (1,) for p in pts]))
 
 
 def _satisfies(facets, x) -> bool:
     return all(_dot(a, x) <= b for a, b in facets)
-
-
-def in_hull(points, x) -> bool:
-    """Exact membership of x in the hull of full-dimensional lattice points."""
-    return _satisfies(affine_facets(points), x)
 
 
 def _bounding_box(points):
@@ -338,10 +337,6 @@ class PolygonComparison:
     status: Dominance
     endpoints_coincide: bool
     witness: tuple[int, Fraction, Fraction] | None = None
-
-    @property
-    def is_above(self) -> bool:
-        return self.status is not Dominance.VIOLATION
 
 
 def _scaled_heights(poly: LowerPolygon, scale: int, xs) -> list[int]:

@@ -1,0 +1,87 @@
+"""Slow brute-force routes kept as independent oracles for the library.
+
+The library reads facets and vertices off one extreme-ray sweep
+(`polytope._extreme_rays`). The routes here get the same data another way
+and are used only by the tests:
+
+- `difference_facets`: facets from the kernels of point differences;
+- `in_hull`: hull membership from those facets;
+- `lp_min_sum`: the exact linear program over basic solutions.
+"""
+
+import itertools
+from fractions import Fraction
+
+from npoly import exactmath as xm
+from npoly import polytope as pt
+from npoly.errors import DegenerateInput
+
+
+def difference_facets(points):
+    """Facets (a, b) of the hull of full-dimensional lattice points in Z^d.
+
+    Each d-subset of points whose differences from its first point have a
+    one-dimensional kernel gives a primitive normal a with b = a.base; the
+    pair is kept, with the sign that makes a.x <= b valid, when every point
+    lies on one side. In dimension 1 the facets are read off the extremes.
+    """
+    pts = [tuple(int(c) for c in p) for p in dict.fromkeys(map(tuple, points))]
+    d = len(pts[0])
+    if pt.affine_rank(pts) != d:
+        raise DegenerateInput("facet enumeration needs a full-dimensional hull")
+    if d == 1:
+        vals = [p[0] for p in pts]
+        return [((1,), max(vals)), ((-1,), -min(vals))]
+    found = {}
+    for subset in itertools.combinations(pts, d):
+        base = subset[0]
+        a = xm.kernel_vector([[x - y for x, y in zip(p, base)] for p in subset[1:]])
+        if a is None:
+            continue
+        b = pt._dot(a, base)
+        side = [pt._dot(a, p) - b for p in pts]
+        if all(s <= 0 for s in side):
+            pass
+        elif all(s >= 0 for s in side):
+            a = tuple(-c for c in a)
+            b = -b
+        else:
+            continue
+        found[(a, b)] = True
+    return sorted(found)
+
+
+def in_hull(points, x) -> bool:
+    """Exact membership of x in the hull of full-dimensional lattice points."""
+    return all(pt._dot(a, x) <= b for a, b in difference_facets(points))
+
+
+def lp_min_sum(generators, u) -> Fraction | None:
+    """Exact minimum of sum(t_j) over t >= 0 with sum(t_j * V_j) = u.
+
+    Solved by enumerating basic solutions of the echelon system, each the
+    kernel of a square block of it next to -u. Returns None when u is not a
+    nonnegative combination of the generators.
+    """
+    gens = [tuple(int(c) for c in g) for g in generators]
+    if not gens:
+        raise DegenerateInput("empty generator set")
+    n = len(gens[0])
+    if any(len(g) != n for g in gens) or len(u) != n:
+        raise DegenerateInput("generator/target dimension mismatch")
+    u = tuple(int(c) for c in u)
+    if all(c == 0 for c in u):
+        return Fraction(0)
+    count = len(gens)
+    rows, pivots, _ = xm._echelon([[g[i] for g in gens] + [-u[i]] for i in range(n)])
+    if pivots[-1] == count:
+        return None  # u outside the linear span of the generators
+    best = None  # (sum of numerators, positive denominator)
+    for subset in itertools.combinations(range(count), len(pivots)):
+        k = xm.kernel_vector([[row[j] for j in subset] + [row[count]] for row in rows])
+        if k is None or k[-1] == 0 or min(k) < 0:
+            continue
+        total = (sum(k) - k[-1], k[-1])
+        if best is None or total[0] * best[1] < best[0] * total[1]:
+            best = total
+    return None if best is None else Fraction(*best)

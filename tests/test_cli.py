@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+from math import gcd
 
-from npoly import cli, diagonal, polytope
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from npoly import catalog, cli, diagonal, exactmath, polytope
+from test_catalog import CASES as CATALOG_CASES
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -225,6 +231,51 @@ class TestDecompose:
         assert report["faces"][0]["support_points"] == [["3", "0"], ["0", "3"]]
         assert report["certificate"]["certified"] is True
         assert report["certificate"]["dstar"] == "3"
+
+
+def assert_scan_matches_is_ordinary(support, bound):
+    """Every scan row agrees with the per-prime norm-stability test."""
+    report = cli.cmd_scan(support, {}, bound)
+    ds = diagonal.DiagonalSimplex.from_support(support)
+    assert [row["p"] for row in report["rows"]] == [
+        str(p) for p in range(2, bound) if all(p % q for q in range(2, p))
+    ]
+    for row in report["rows"]:
+        p = int(row["p"])
+        if gcd(p, ds.group_order) != 1:
+            assert row["verdict"] == "excluded"
+        else:
+            ordinary = diagonal.is_ordinary(ds, p).ordinary
+            assert row["verdict"] == ("ordinary" if ordinary else "non-ordinary")
+
+
+def is_n_point(name, params):
+    support = catalog.make(name, params).support
+    return len(support.points) == support.dim
+
+
+N_POINT_FAMILIES = [("monomial", {"d": 1})] + [
+    case for case in CATALOG_CASES if is_n_point(*case)
+]
+
+
+@pytest.mark.parametrize("name,params", N_POINT_FAMILIES,
+                         ids=[f"{n}-{p}" for n, p in N_POINT_FAMILIES])
+def test_scan_verdicts_match_is_ordinary_on_catalog(name, params):
+    assert_scan_matches_is_ordinary(catalog.make(name, params).support, 120)
+
+
+def nonsingular_columns(n):
+    return st.lists(
+        st.tuples(*[st.integers(-4, 4)] * n), min_size=n, max_size=n
+    ).filter(lambda cols: 0 < abs(exactmath.determinant(
+        exactmath.IntMatrix.from_columns(cols))) <= 200)
+
+
+@given(st.sampled_from([2, 3]).flatmap(nonsingular_columns))
+@settings(max_examples=60, deadline=None)
+def test_scan_verdicts_match_is_ordinary_on_random_matrices(cols):
+    assert_scan_matches_is_ordinary(polytope.Support(len(cols), tuple(cols)), 80)
 
 
 class TestScan:

@@ -12,6 +12,7 @@ from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.primes import primes_below
+from oracles import in_hull, lp_min_sum
 
 
 def square_matrices(max_n=4, lo=-6, hi=6, min_n=1):
@@ -63,8 +64,8 @@ def test_solve_round_trip(m, coords):
 @settings(max_examples=60, deadline=None)
 def test_lp_homogeneity(c, x, y):
     gens = [(1, 0), (0, 1), (-1, -1), (2, -1)]
-    base = xm.lp_min_sum(gens, (x, y))
-    scaled = xm.lp_min_sum(gens, (c * x, c * y))
+    base = lp_min_sum(gens, (x, y))
+    scaled = lp_min_sum(gens, (c * x, c * y))
     if base is None:
         assert scaled is None or c == 0
     else:
@@ -254,7 +255,7 @@ class TestWeightFunction:
             n = poly.dim
             for _ in range(20):
                 u = tuple(self.rng.randint(-4, 4) for _ in range(n))
-                lp = xm.lp_min_sum(poly.support.points, u)
+                lp = lp_min_sum(poly.support.points, u)
                 assert poly.weight(u) == lp
                 # the integer facet route: D*w(u) is exactly an integer
                 assert poly._scaled_weight(u) == (
@@ -331,8 +332,8 @@ class TestIndependentOracles:
                 u = tuple(self.rng.randint(-3, 3) for _ in range(n))
                 w = poly.weight(u)
                 in_polytope = w is not None and w <= 1
-                assert in_polytope == (xm.lp_min_sum(lifted, u + (1,)) is not None)
-                assert in_polytope == pt.in_hull(list(support.points) + [(0,) * n], u)
+                assert in_polytope == (lp_min_sum(lifted, u + (1,)) is not None)
+                assert in_polytope == in_hull(list(support.points) + [(0,) * n], u)
 
     def test_two_dim_volume_against_picks_theorem(self):
         # normalized volume = 2*interior + boundary - 2 for lattice polygons
