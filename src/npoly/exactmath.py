@@ -1,10 +1,12 @@
 """Exact integer and rational linear algebra for small dense systems.
 
-One fraction-free (Bareiss) row echelon does all the elimination:
+One fraction-free (Bareiss) row echelon does the elimination:
 determinants, ranks, one-dimensional kernels and rational solves are read
-off it in Python's arbitrary-precision integers. Rational rows have their
-denominators cleared first, and ``fractions.Fraction`` only appears in
-rational results. No floating point is used anywhere.
+off it in Python's arbitrary-precision integers. Its Gauss-Jordan form,
+eliminating above the pivots too, gives `adjugate` (and so unimodular
+inverses) in one pass. Rational rows have their denominators cleared
+first, and ``fractions.Fraction`` only appears in rational results. No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -191,16 +193,43 @@ def solve_unique(m: IntMatrix, u) -> RationalVector:
     return tuple(Fraction(v, t) for v in x)
 
 
+def adjugate(rows) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a nonsingular square integer matrix B.
+
+    One fraction-free Gauss-Jordan elimination of [B | I], which clears each
+    pivot column above the pivot as well as below it, ends at
+    [d*I | d*B^-1] with d = +-det B; every entry stays a minor of the
+    input, so each division is exact. adj B = det B * B^-1 is the right
+    half up to the sign of the row permutation.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise DegenerateMatrix("adjugate requires a square matrix")
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign = prev = 1
+    for c in range(n):
+        if not a[c][c]:
+            k = next((i for i in range(c + 1, n) if a[i][c]), None)
+            if k is None:
+                raise DegenerateMatrix("singular matrix has no adjugate here")
+            a[c], a[k] = a[k], a[c]
+            sign = -sign
+        top = a[c]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i != c:
+                f = row[c]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
+
+
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    n = m.rows
-    cols = []
-    for j in range(n):
-        x, t = _solve(m, [int(i == j) for i in range(n)])
-        if t != 1:
-            raise DegenerateMatrix("matrix is not unimodular")
-        cols.append(x)
-    return IntMatrix.from_columns(cols)
+    """Exact inverse of a matrix with determinant +-1: det * adj."""
+    adj, det = adjugate(m.entries)
+    if det not in (1, -1):
+        raise DegenerateMatrix("matrix is not unimodular")
+    return IntMatrix.from_rows([[det * x for x in row] for row in adj])
 
 
 def _min_abs_entry(a, t, nrows, ncols):

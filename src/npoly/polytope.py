@@ -1,7 +1,7 @@
 """Newton polyhedra of lattice supports: facets, weights, Hodge data.
 
 Also houses the small exact-geometry toolkit (affine lattice charts, one
-brute-force extreme-ray sweep for facets and vertices, pulling
+double-description extreme-ray enumerator for facets and vertices, pulling
 triangulation) that the decomposition machinery builds on. All
 coordinates are integers or ``fractions.Fraction``.
 """
@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from . import exactmath as xm
-from .errors import DegenerateInput, IncomparablePolygons, NotFullDimensional
+from .errors import DegenerateInput, DegenerateMatrix, IncomparablePolygons, NotFullDimensional
 
 LatticePoint = xm.LatticePoint
 
@@ -86,25 +86,67 @@ class AffineChart:
         return tuple(b + c for b, c in zip(self.base, self._bwd.mul_vector(full)))
 
 
+def _primitive(z) -> LatticePoint:
+    g = gcd(*z)
+    return tuple(c // g for c in z)
+
+
 def _extreme_rays(rows) -> list[LatticePoint]:
     """Extreme rays of the cone {z : G.z <= 0} for integer rows G in Z^N.
 
-    Brute force over the (N-1)-subsets of rows: each subset with a
-    one-dimensional kernel gives a primitive kernel vector z, kept with the
-    sign, if any, that satisfies every row. Returned sorted. Facets of a
-    hull and vertices of an inequality system are both read off this sweep.
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996), in
+    integers. The first N independent rows cut out a simplicial cone whose
+    rays are the columns of -sign(det B) adj B. Each remaining row g keeps
+    the rays with g.z <= 0 and adds the combination |g.q| p + (g.p) q of
+    every adjacent pair with g.p > 0 > g.q; p and q are adjacent when no
+    third ray is tight on every row where both are (tight sets are int
+    bitmasks). Rays are primitive and returned sorted. Rows of rank < N give
+    the kernel vector when the kernel is a line, else nothing. Facets of a
+    hull and vertices of an inequality system are both read off this cone.
     """
-    found = set()
-    for subset in itertools.combinations(rows, len(rows[0]) - 1):
-        z = xm.kernel_vector(subset)
-        if z is None:
+    n = len(rows[0])
+    basis = range(n) if len(rows) == n else xm._echelon(list(zip(*rows)))[1]
+    try:
+        adj, det = xm.adjugate([rows[i] for i in basis])
+    except DegenerateMatrix:  # rank < N: fewer than N pivots, or a singular square
+        k = xm.kernel_vector(rows)
+        return [k] if k else []
+    sign = -1 if det > 0 else 1
+    rays = [_primitive([sign * c for c in col]) for col in zip(*adj)]
+    start = sum(1 << i for i in basis)
+    tight = [start & ~(1 << i) for i in basis]  # ray j: every basis row but the j-th
+    for i, g in enumerate(rows):
+        bit = 1 << i
+        if start & bit:
             continue
-        sides = [sum(map(mul, row, z)) for row in rows]
-        if max(sides) <= 0:
-            found.add(z)
-        elif min(sides) >= 0:
-            found.add(tuple(-c for c in z))
-    return sorted(found)
+        sides = [sum(map(mul, g, z)) for z in rays]
+        plus = [k for k, s in enumerate(sides) if s > 0]
+        minus = [k for k, s in enumerate(sides) if s < 0]
+        if len(plus) * len(minus) > ENUMERATION_LIMIT:
+            raise DegenerateInput(
+                f"{len(plus) * len(minus)} ray pairs are too many at stage facets"
+            )
+        new_rays = []
+        new_tight = []
+        for z, t, s in zip(rays, tight, sides):
+            if s <= 0:
+                new_rays.append(z)
+                new_tight.append(t | bit if s == 0 else t)
+        for p in plus:
+            for q in minus:
+                common = tight[p] & tight[q]
+                # adjacent rays share N - 2 independent tight rows, so at least N - 2 rows
+                if common.bit_count() < n - 2 or any(
+                    t & common == common
+                    for k, t in enumerate(tight)
+                    if k != p and k != q
+                ):
+                    continue
+                sp, sq = sides[p], -sides[q]
+                new_rays.append(_primitive([sq * x + sp * y for x, y in zip(rays[p], rays[q])]))
+                new_tight.append(common | bit)
+        rays, tight = new_rays, new_tight
+    return sorted(rays)
 
 
 def affine_facets(points) -> list[tuple[LatticePoint, int]]:

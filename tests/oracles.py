@@ -1,9 +1,11 @@
 """Slow brute-force routes kept as independent oracles for the library.
 
-The library reads facets and vertices off one extreme-ray sweep
-(`polytope._extreme_rays`). The routes here get the same data another way
-and are used only by the tests:
+The library reads facets and vertices off one double-description
+extreme-ray enumerator (`polytope._extreme_rays`). The routes here get the
+same data another way and are used only by the tests:
 
+- `sweep_extreme_rays`: the same extreme rays from the kernels of all
+  (N-1)-row subsets;
 - `difference_facets`: facets from the kernels of point differences;
 - `in_hull`: hull membership from those facets;
 - `lp_min_sum`: the exact linear program over basic solutions.
@@ -11,10 +13,31 @@ and are used only by the tests:
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.errors import DegenerateInput
+
+
+def sweep_extreme_rays(rows):
+    """Extreme rays of the cone {z : G.z <= 0} for integer rows G in Z^N.
+
+    Brute force over the (N-1)-subsets of rows: each subset with a
+    one-dimensional kernel gives a primitive kernel vector z, kept with the
+    sign, if any, that satisfies every row. Returned sorted.
+    """
+    found = set()
+    for subset in itertools.combinations(rows, len(rows[0]) - 1):
+        z = xm.kernel_vector(subset)
+        if z is None:
+            continue
+        sides = [sum(map(mul, row, z)) for row in rows]
+        if max(sides) <= 0:
+            found.add(z)
+        elif min(sides) >= 0:
+            found.add(tuple(-c for c in z))
+    return sorted(found)
 
 
 def difference_facets(points):

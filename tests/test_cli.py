@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npoly import catalog, cli, diagonal, exactmath, polytope
+from oracles import sweep_extreme_rays
 from test_catalog import CASES as CATALOG_CASES
 
 
@@ -30,6 +31,8 @@ MONOMIAL_4 = {"family": {"name": "monomial", "parameters": {"d": 4}}}
 # normalized volume 194, but a weight table of 569,423,674 rows
 HUGE_TABLE = {"n": 3, "support": [[-1, -2, 3], [-1, 3, -1], [2, -3, -3], [2, 0, 1],
                                   [3, 3, 2]]}
+# 18 lattice points: the facet cone of its hull has 19 rows in Z^4
+BOX_212 = {"family": {"name": "box", "parameters": {"dims": [2, 1, 2]}}}
 
 
 class TestHodge:
@@ -370,6 +373,15 @@ class TestInputHandling:
         assert out == ""
         assert err == f"error: bound {bound} is too large at stage scan\n"
 
+    def test_oversized_ray_pairing_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(polytope, "ENUMERATION_LIMIT", 3)
+        path = write_doc(tmp_path, BOX_212)
+        for command in (["hodge"], ["decompose"]):
+            code, out, err = run_cli(capsys, command + [path])
+            assert code == 2
+            assert out == ""
+            assert err == "error: 4 ray pairs are too many at stage facets\n"
+
     def test_family_and_support_exclusive(self, tmp_path, capsys):
         doc = dict(KLOOSTERMAN)
         doc["family"] = {"name": "monomial", "parameters": {"d": 3}}
@@ -458,3 +470,16 @@ class TestParser:
         fresh = run_all()
         assert shared == fresh
         assert [code for code, _, _ in shared][:3] == [0, 0, ("exit", 2)]
+
+
+@pytest.mark.parametrize("command", [
+    ["hodge"],
+    ["decompose", "--strategy", "first-lex"],
+    ["decompose", "--strategy", "max-invariant-factor"],
+])
+def test_reports_match_subset_sweep_on_lattice_rich_box(tmp_path, capsys, monkeypatch, command):
+    path = write_doc(tmp_path, BOX_212)
+    fast = run_cli(capsys, command + [path])
+    monkeypatch.setattr(polytope, "_extreme_rays", sweep_extreme_rays)
+    assert run_cli(capsys, command + [path]) == fast
+    assert fast[0] == 0

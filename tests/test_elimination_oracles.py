@@ -198,6 +198,26 @@ def test_solve_unique_matches_gauss_jordan(rows, rhs):
         assert xm.solve_unique(m, u) == expected
 
 
+@given(square_int)
+@settings(max_examples=150, deadline=None)
+def test_adjugate_matches_gauss_jordan(rows):
+    n = len(rows)
+    cols = [fraction_solve(rows, [int(i == j) for i in range(n)]) for j in range(n)]
+    if cols[0] is None:
+        with pytest.raises(DegenerateMatrix):
+            xm.adjugate(rows)
+        return
+    det = det_cofactor(rows)
+    # adj M = det M * M^-1, column by column
+    expected = [[det * cols[j][i] for j in range(n)] for i in range(n)]
+    assert xm.adjugate(rows) == (expected, det)
+
+
+def test_adjugate_refuses_non_square():
+    with pytest.raises(DegenerateMatrix):
+        xm.adjugate([(1, 2, 3), (4, 5, 6)])
+
+
 @given(st.one_of(square_int, unimodular()))
 @settings(max_examples=150, deadline=None)
 def test_unimodular_inverse_matches_gauss_jordan(rows):

@@ -68,3 +68,17 @@ def test_snf_diagonal(rows):
         return
     d = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     assert xm.snf(m).diag == tuple(abs(d[i, i]) for i in range(m.rows))
+
+
+@given(square_int)
+@settings(max_examples=100, deadline=None)
+def test_adjugate(rows):
+    m = to_sympy(rows)
+    if m.det() == 0:
+        # the Gauss-Jordan route needs a pivot in every column
+        with pytest.raises(DegenerateMatrix):
+            xm.adjugate(rows)
+    else:
+        adj, det = xm.adjugate(rows)
+        assert det == m.det()
+        assert sympy.Matrix(adj) == m.adjugate()
