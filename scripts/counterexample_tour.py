@@ -45,7 +45,7 @@ def tour_extension(n=7):
     show(f"extension to dimension {n}: same residue behaviour")
     support = catalog.make("extend_dim", {"n": n}).support
     ds = diagonal.DiagonalSimplex.from_support(support)
-    print("denominator:", ds.polyhedron.denominator, "det:", ds.det)
+    print("denominator:", ds.denominator, "det:", ds.det)
     for p in (7, 5):
         print(f"p = {p}: ordinary = {diagonal.is_ordinary(ds, p).ordinary}")
 

@@ -84,7 +84,7 @@ def load_input(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8 or an oversized integer
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("input document must be a JSON object")
@@ -192,7 +192,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
         "p": str(p),
         "determinant": str(ds.det),
         "invariant_factors": [str(d) for d in ds.invariant_factors],
-        "denominator": str(ds.polyhedron.denominator),
+        "denominator": str(ds.denominator),
         "orbits": [
             {
                 "representative": [_fmt_rational(x) for x in o.representative.r],

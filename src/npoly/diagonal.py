@@ -82,26 +82,26 @@ class DiagonalSimplex:
 
     matrix: xm.IntMatrix
     snf: xm.SnfResult
-    polyhedron: pt.NewtonPolyhedron
     det: int
+    denominator: int
 
     @classmethod
     def from_matrix(cls, matrix: xm.IntMatrix) -> "DiagonalSimplex":
+        """One adjugate, one SNF: the away-facet e.x = 1 has e_j = c_j/det M, c_j the
+        j-th column sum of adj M, so its denominator is D = |det M| / gcd(det M, c)."""
         if not matrix.is_square:
             raise DegenerateMatrix("vertex matrix must be square")
-        det = xm.determinant(matrix)
-        if det == 0:
-            raise DegenerateMatrix("vertex matrix is singular")
-        support = pt.Support(matrix.rows, tuple(matrix.columns()))
+        try:
+            adj, det = xm.adjugate(matrix.entries)
+        except DegenerateMatrix as exc:
+            raise DegenerateMatrix("vertex matrix is singular") from exc
         ds = cls(
             matrix=matrix,
             snf=xm.snf(matrix),
-            polyhedron=pt.build(support),
             det=det,
+            denominator=abs(det) // gcd(det, *map(sum, zip(*adj))),
         )
-        if abs(det) != ds.polyhedron.normalized_volume:
-            raise AssertionError("|det M| differs from the normalized volume")
-        if ds.snf.diag[-1] % ds.polyhedron.denominator:
+        if ds.snf.diag[-1] % ds.denominator:
             raise AssertionError("facet denominator does not divide d_n")
         return ds
 
@@ -116,6 +116,11 @@ class DiagonalSimplex:
     @property
     def dim(self) -> int:
         return self.matrix.rows
+
+    @cached_property
+    def polyhedron(self) -> pt.NewtonPolyhedron:
+        """The Newton polyhedron, built on first read for its weights."""
+        return pt.build(pt.Support(self.dim, tuple(self.matrix.columns())))
 
     @property
     def group_order(self) -> int:
@@ -274,7 +279,7 @@ def newton_polygon_diag(ds: DiagonalSimplex, p: int) -> pt.LowerPolygon:
 
 def hodge_counts_diag(ds: DiagonalSimplex) -> dict[int, int]:
     """H(k) from the group directly: elements of norm k/D, no box scan."""
-    d = ds.polyhedron.denominator
+    d = ds.denominator
     counts: dict[int, int] = {}
     for e in ds.group:
         k, rest = divmod(sum(e.a) * d, e.modulus)
@@ -286,7 +291,7 @@ def hodge_counts_diag(ds: DiagonalSimplex) -> dict[int, int]:
 
 def hodge_polygon_diag(ds: DiagonalSimplex) -> pt.LowerPolygon:
     """Slope multiset of the norms: one run per distinct norm k/D."""
-    d = ds.polyhedron.denominator
+    d = ds.denominator
     counts = hodge_counts_diag(ds)
     return pt.LowerPolygon.from_runs((Fraction(k, d), counts[k]) for k in sorted(counts))
 
@@ -326,15 +331,8 @@ def denominator_divides(ds: DiagonalSimplex) -> DenominatorRelation:
     The away-facet normal is the unique solution e of e*M = (1,...,1); its
     entries land in (1/d_n)*Z, so the denominator divides d_n.
     """
-    ones = (1,) * ds.dim
-    e = xm.solve_unique(ds.matrix.transpose(), ones)
     dn = ds.largest_invariant_factor
-    if any((c * dn).denominator != 1 for c in e):
-        raise AssertionError("facet equation does not clear the invariant factor")
-    den = lcm(*(c.denominator for c in e))
-    if den != ds.polyhedron.denominator:
-        raise AssertionError("facet equation denominator differs from the polyhedron's")
-    return DenominatorRelation(den, dn, dn % den == 0)
+    return DenominatorRelation(ds.denominator, dn, dn % ds.denominator == 0)
 
 
 def check_indecomposable_equality(ds: DiagonalSimplex) -> bool:
@@ -348,4 +346,4 @@ def check_indecomposable_equality(ds: DiagonalSimplex) -> bool:
         raise NotIndecomposable(
             "away-facet carries lattice points other than the vertices"
         )
-    return ds.polyhedron.denominator == ds.largest_invariant_factor
+    return ds.denominator == ds.largest_invariant_factor

@@ -410,6 +410,19 @@ class TestInputHandling:
             assert out == ""
             assert err.startswith("error:")
 
+    @pytest.mark.parametrize("content", [
+        b'{"n": 1, "support": [[\xff]]}',  # not UTF-8
+        b'{"n": 1, "support": [[1' + b"0" * 5000 + b']]}',  # over the int digit limit
+    ], ids=["not-utf8", "huge-int-literal"])
+    def test_unreadable_json_is_an_input_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, ["hodge", str(path)])
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_coefficients_echoed(self, tmp_path, capsys):
         doc = dict(MONOMIAL_3)
         doc["coefficients"] = [1]
@@ -431,6 +444,31 @@ class TestInputHandling:
         code, out, _ = run_cli(capsys, ["hodge", path])
         assert code == 0
         assert out.startswith("command: hodge")
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("command,builds", [
+        (["diagonal", "-p", "7"], 0),
+        (["ordinary-classes"], 0),
+        (["scan", "--bound", "40"], 0),
+        (["decompose", "-p", "7"], 1),  # facial_decompose's own
+    ], ids=["diagonal", "ordinary-classes", "scan", "decompose"])
+    def test_n_point_commands_skip_the_hull_machinery(
+        self, tmp_path, capsys, monkeypatch, command, builds
+    ):
+        counts = {"build": 0, "triangulate": 0}
+        for name in counts:
+            original = getattr(polytope, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(polytope, name, counted)
+        path = write_doc(tmp_path, FIVE_DIM)
+        code, _, _ = run_cli(capsys, command[:1] + [path] + command[1:])
+        assert code == 0
+        assert counts == {"build": builds, "triangulate": 0}
 
 
 class TestParser:

@@ -104,7 +104,7 @@ class TestGroupElements:
         foreign = dg.DiagonalSimplex(
             matrix=matrix,
             snf=xm.snf(xm.IntMatrix.from_rows([[6, 0], [0, 1]])),
-            polyhedron=honest.polyhedron,
+            denominator=honest.denominator,
             det=honest.det,
         )
         assert len(honest.group) == 6
