@@ -21,6 +21,7 @@ from math import gcd, lcm
 from . import catalog, decompose, diagonal, polytope, primes
 from . import exactmath as xm
 from .errors import (
+    BrokenInvariant,
     DegenerateInput,
     DegenerateMatrix,
     IncomparablePolygons,
@@ -35,6 +36,7 @@ EXIT_GEOMETRY = 2
 EXIT_SHAPE = 3
 EXIT_ARITHMETIC = 4
 EXIT_IO = 5
+EXIT_INVARIANT = 6
 
 
 class ShapeError(NpolyError):
@@ -512,6 +514,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except BrokenInvariant as exc:
+        print(f"error: broken invariant: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE

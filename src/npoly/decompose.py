@@ -18,7 +18,7 @@ from math import gcd, lcm
 from . import diagonal as dg
 from . import exactmath as xm
 from . import polytope as pt
-from .errors import DegenerateInput, NotCoprime
+from .errors import BrokenInvariant, DegenerateInput, NotCoprime
 
 LatticePoint = xm.LatticePoint
 
@@ -163,7 +163,9 @@ def collapse_step(vset, chosen) -> tuple[tuple[LatticePoint, ...], ...]:
         raise DegenerateInput("chosen point is not in the set")
     if len(pts) == n:
         return (pts,)
-    return _step(pts, n, _local_coordinates(pts), chosen)
+    if pt.affine_rank([p for p in pts if p != chosen]) != n - 1:
+        raise DegenerateInput("removing the chosen vertex drops the dimension")
+    return _step(pts, _local_coordinates(pts), chosen)
 
 
 def _local_coordinates(pts) -> dict:
@@ -172,44 +174,39 @@ def _local_coordinates(pts) -> dict:
     return {p: chart.to_local(p) for p in pts}
 
 
-def _step(pts, n, local, chosen):
-    """collapse_step on a validated set of more than n points, in its chart.
+def _step(pts, local, chosen):
+    """collapse_step on a validated set of more than n points, in its chart,
+    for a chosen point whose removal keeps the set full-dimensional.
 
-    Each returned piece is checked to span the chart, which is all that
-    validating it as a new input would add, so the pieces can be split or
-    scored directly.
+    A facet F of the remainder visible from the chosen vertex v gives the
+    piece conv(F + v), which meets the set in exactly F's points and v: a
+    pyramid over a facet, so full-dimensional, read off F's incidence mask.
     """
     rest = tuple(p for p in pts if p != chosen)
-    rest_local = [local[p] for p in rest]
-    # a lower-dimensional remainder cannot contain the chosen point
-    if pt.affine_rank(rest_local) != n - 1:
-        raise DegenerateInput("removing the chosen vertex drops the dimension")
-    rest_facets = pt.affine_facets(rest_local)
+    rest_facets = pt.affine_facets([local[p] for p in rest])
     if pt._satisfies(rest_facets, local[chosen]):
         raise DegenerateInput("chosen point is not a vertex of the hull")
     pieces = [rest]
-    for a, b in rest_facets:
+    for a, b, mask in rest_facets:
         if pt._dot(a, local[chosen]) <= b:
             continue  # facet not visible from the removed vertex
-        cone_facets = pt.affine_facets(
-            [q for q in rest_local if pt._dot(a, q) == b] + [local[chosen]]
-        )
-        piece = tuple(p for p in pts if pt._satisfies(cone_facets, local[p]))
-        if pt.affine_rank([local[p] for p in piece]) != n - 1:
-            raise DegenerateInput("point set must span a codimension-1 affine subspace")
-        pieces.append(piece)
+        face = [p for i, p in enumerate(rest) if mask >> i & 1]
+        pieces.append(tuple(sorted(face + [chosen])))
     return tuple(pieces)
 
 
-def _valid_choices(pts, n, local):
-    """Hull vertices (the facet normals through them have rank n - 1) whose
-    removal keeps the set full-dimensional."""
-    facets = pt.affine_facets(list(local.values()))
+def _valid_choices(pts, local):
+    """Hull vertices (the facets through p meet in p alone) whose removal
+    keeps the set full-dimensional (no facet holds every other point)."""
+    masks = [mask for _, _, mask in pt.affine_facets([local[p] for p in pts])]
+    full = (1 << len(pts)) - 1
     out = []
-    for p in pts:
-        others = [local[q] for q in pts if q != p]
-        active = [a for a, b in facets if pt._dot(a, local[p]) == b]
-        if xm.rational_rank(active) == n - 1 and pt.affine_rank(others) == n - 1:
+    for i, p in enumerate(pts):
+        bit = 1 << i
+        meet = full
+        for mask in masks:
+            meet &= mask if mask & bit else full
+        if meet == bit and full ^ bit not in masks:
             out.append(p)
     return out
 
@@ -231,7 +228,7 @@ def _greedy_collapse(pts, n, pick, factors):
             final.append(cur)
             continue
         local = _local_coordinates(cur)
-        choices = _valid_choices(cur, n, local)
+        choices = _valid_choices(cur, local)
         if not choices:
             raise DegenerateInput("no vertex can be removed without degenerating")
         chosen, pieces = pick(cur, n, local, choices, factors)
@@ -242,7 +239,7 @@ def _greedy_collapse(pts, n, pick, factors):
 
 def _pick_first_lex(cur, n, local, choices, factors):
     chosen = min(choices)
-    return chosen, _step(cur, n, local, chosen)
+    return chosen, _step(cur, local, chosen)
 
 
 def _pick_max_invariant_factor(cur, n, local, choices, factors):
@@ -250,7 +247,7 @@ def _pick_max_invariant_factor(cur, n, local, choices, factors):
     returns it with the pieces of its step."""
     best = None
     for cand in sorted(choices):
-        pieces = _step(cur, n, local, cand)
+        pieces = _step(cur, local, cand)
         score = max(
             (_piece_factor(piece, factors) for piece in pieces if len(piece) == n),
             default=0,
@@ -276,11 +273,11 @@ def _achievable_collapses(pts, n, memo, factors):
         return memo[key]
     out: dict = {}
     local = _local_coordinates(pts)
-    candidates = sorted(_valid_choices(pts, n, local))
+    candidates = sorted(_valid_choices(pts, local))
     if not candidates:
         raise DegenerateInput("no vertex can be removed without degenerating")
     for cand in candidates:
-        pieces = _step(pts, n, local, cand)
+        pieces = _step(pts, local, cand)
         combos = {1: ((), ())}
         for piece in pieces:
             child = _achievable_collapses(piece, n, memo, factors)
@@ -416,7 +413,7 @@ def admissible_check(delta_support, hyperplane_family) -> HyperplaneDecomp:
         bounds.append((offsets[-1], hi))
     else:
         bounds = [(lo, hi)]
-    base_ineqs = pt.affine_facets(list(local.values()))
+    base_ineqs = [(a, b) for a, b, _ in pt.affine_facets(list(local.values()))]
     pieces = []
     support_local = set(local.values())
     for low, high in bounds:
@@ -453,12 +450,12 @@ def _vertices_from_inequalities(ineqs, d):
 
     A vertex y = x/t is an extreme ray (x, t) with t > 0 of the cone cut out
     by the homogenized rows (a, -b) and t >= 0; rays with t = 0 are
-    recession directions.
+    recession directions; rows of rank < d + 1 leave no vertex.
     """
     rows = [tuple(a) + (-b,) for a, b in ineqs] + [(0,) * d + (-1,)]
     return sorted(
         tuple(Fraction(c, z[-1]) for c in z[:-1])
-        for z in pt._extreme_rays(rows)
+        for z, _ in pt._extreme_rays(rows) or ()
         if z[-1] > 0
     )
 
@@ -484,12 +481,12 @@ def regular_subdivision(n: int, d: int) -> tuple[tuple[LatticePoint, ...], ...]:
             if all(_inside_cumulative(v, n, d) for v in verts):
                 cells.append(tuple(verts))
     if len(cells) != d**n:
-        raise AssertionError(f"{len(cells)} cells survive, expected {d**n}")
+        raise BrokenInvariant(f"{len(cells)} cells survive, expected {d**n}")
     out = []
     for cell in cells:
         out.append(tuple(sorted(_from_cumulative(v) for v in cell)))
     if len(set(out)) != len(out):
-        raise AssertionError("two cells of the subdivision coincide")
+        raise BrokenInvariant("two cells of the subdivision coincide")
     return tuple(sorted(out))
 
 

@@ -20,7 +20,8 @@ from operator import mul
 
 from . import exactmath as xm
 from . import polytope as pt
-from .errors import DegenerateInput, DegenerateMatrix, NotCoprime, NotIndecomposable
+from .errors import (BrokenInvariant, DegenerateInput, DegenerateMatrix, NotCoprime,
+                     NotIndecomposable)
 
 
 @dataclass(frozen=True, order=True)
@@ -102,7 +103,7 @@ class DiagonalSimplex:
             denominator=abs(det) // gcd(det, *map(sum, zip(*adj))),
         )
         if ds.snf.diag[-1] % ds.denominator:
-            raise AssertionError("facet denominator does not divide d_n")
+            raise BrokenInvariant("facet denominator does not divide d_n")
         return ds
 
     @classmethod
@@ -158,10 +159,10 @@ class DiagonalSimplex:
                     a = tuple([(x + y) % dn for x, y in zip(a, step)])
             vectors = grown
         if len(set(vectors)) != self.group_order:
-            raise AssertionError("group elements are not distinct")
+            raise BrokenInvariant("group elements are not distinct")
         for row in self.matrix.entries:
             if any(sum(map(mul, row, a)) % dn for a in vectors):
-                raise AssertionError("a group element does not solve M*r = 0 (mod 1)")
+                raise BrokenInvariant("a group element does not solve M*r = 0 (mod 1)")
         vectors.sort(key=lambda a: (sum(a), a))
         return tuple(GroupElement(a, dn) for a in vectors)
 
@@ -211,7 +212,7 @@ def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
             members.append(remaining.pop(cur))
             cur = tuple([p * x % dn for x in cur])
         if len(members) != m_degree(members[0], p):
-            raise AssertionError("orbit size differs from the order of p")
+            raise BrokenInvariant("orbit size differs from the order of p")
         found.append((sum(sum(m.a) for m in members), members))
     # slope = total/(d_n*degree); scaling by d_n*lcm(degrees) sorts in integers
     scale = lcm(*(len(members) for _, members in found))
@@ -267,7 +268,7 @@ def slope_from_digit_sums(element: GroupElement, p: int) -> Fraction:
     for x in element.a:
         k, rest = divmod(x * (q - 1), element.modulus)
         if rest:
-            raise AssertionError("(p**d - 1)*r is not integral")
+            raise BrokenInvariant("(p**d - 1)*r is not integral")
         total += stickelberger_ord(k, p, q)
     return total / d
 
@@ -284,7 +285,7 @@ def hodge_counts_diag(ds: DiagonalSimplex) -> dict[int, int]:
     for e in ds.group:
         k, rest = divmod(sum(e.a) * d, e.modulus)
         if rest:
-            raise AssertionError("element norm is not a multiple of 1/D")
+            raise BrokenInvariant("element norm is not a multiple of 1/D")
         counts[k] = counts.get(k, 0) + 1
     return counts
 

@@ -31,3 +31,7 @@ class NotIndecomposable(NpolyError):
 
 class IncomparablePolygons(NpolyError):
     """Polygons do not share the same endpoint abscissa."""
+
+
+class BrokenInvariant(NpolyError, AssertionError):
+    """A computed result fails one of its own consistency checks: a bug."""

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DegenerateMatrix
+from .errors import BrokenInvariant, DegenerateMatrix
 
 LatticePoint = tuple[int, ...]
 RationalVector = tuple[Fraction, ...]
@@ -323,9 +323,9 @@ def snf(m: IntMatrix) -> SnfResult:
     diag = tuple(d[i][i] for i in range(m.rows))
     result = SnfResult(IntMatrix.from_rows(p), IntMatrix.from_rows(q), diag)
     if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
-        raise AssertionError("Smith diagonal breaks the divisibility chain")
+        raise BrokenInvariant("Smith diagonal breaks the divisibility chain")
     if result.P.mul(m).mul(result.Q).entries != tuple(
         tuple(diag[i] * int(i == j) for j in range(m.rows)) for i in range(m.rows)
     ):
-        raise AssertionError("P*M*Q does not reconstruct the Smith diagonal")
+        raise BrokenInvariant("P*M*Q does not reconstruct the Smith diagonal")
     return result

@@ -1,9 +1,9 @@
 """Newton polyhedra of lattice supports: facets, weights, Hodge data.
 
 Also houses the small exact-geometry toolkit (affine lattice charts, one
-double-description extreme-ray enumerator for facets and vertices, pulling
-triangulation) that the decomposition machinery builds on. All
-coordinates are integers or ``fractions.Fraction``.
+double-description extreme-ray enumerator for vertices and for facets with
+their point incidences, pulling triangulation) that the decomposition
+machinery builds on. All coordinates are integers or ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from math import comb, gcd, lcm
 from operator import mul
 
 from . import exactmath as xm
-from .errors import DegenerateInput, DegenerateMatrix, IncomparablePolygons, NotFullDimensional
+from .errors import (BrokenInvariant, DegenerateInput, DegenerateMatrix,
+                     IncomparablePolygons, NotFullDimensional)
 
 LatticePoint = xm.LatticePoint
 
@@ -91,7 +92,7 @@ def _primitive(z) -> LatticePoint:
     return tuple(c // g for c in z)
 
 
-def _extreme_rays(rows) -> list[LatticePoint]:
+def _extreme_rays(rows) -> list[tuple[LatticePoint, int]] | None:
     """Extreme rays of the cone {z : G.z <= 0} for integer rows G in Z^N.
 
     Double description (Motzkin et al. 1953; Fukuda and Prodon 1996), in
@@ -100,17 +101,19 @@ def _extreme_rays(rows) -> list[LatticePoint]:
     the rays with g.z <= 0 and adds the combination |g.q| p + (g.p) q of
     every adjacent pair with g.p > 0 > g.q; p and q are adjacent when no
     third ray is tight on every row where both are (tight sets are int
-    bitmasks). Rays are primitive and returned sorted. Rows of rank < N give
-    the kernel vector when the kernel is a line, else nothing. Facets of a
-    hull and vertices of an inequality system are both read off this cone.
+    bitmasks). Returns sorted (ray, mask) pairs, bit i of the primitive
+    ray's mask set when row i is tight on it; None for rows of rank < N.
+    Facets of a hull with their point incidences, and vertices of an
+    inequality system, are both read off this cone.
     """
     n = len(rows[0])
     basis = range(n) if len(rows) == n else xm._echelon(list(zip(*rows)))[1]
+    if len(basis) < n:  # all-zero rows give an empty basis
+        return None
     try:
         adj, det = xm.adjugate([rows[i] for i in basis])
-    except DegenerateMatrix:  # rank < N: fewer than N pivots, or a singular square
-        k = xm.kernel_vector(rows)
-        return [k] if k else []
+    except DegenerateMatrix:  # a singular square
+        return None
     sign = -1 if det > 0 else 1
     rays = [_primitive([sign * c for c in col]) for col in zip(*adj)]
     start = sum(1 << i for i in basis)
@@ -146,25 +149,26 @@ def _extreme_rays(rows) -> list[LatticePoint]:
                 new_rays.append(_primitive([sq * x + sp * y for x, y in zip(rays[p], rays[q])]))
                 new_tight.append(common | bit)
         rays, tight = new_rays, new_tight
-    return sorted(rays)
+    return sorted(zip(rays, tight))
 
 
-def affine_facets(points) -> list[tuple[LatticePoint, int]]:
+def affine_facets(points) -> list[tuple[LatticePoint, int, int]]:
     """Facets of the hull of full-dimensional lattice points in Z^d.
 
-    Returns sorted primitive pairs (a, b) with a.x <= b valid on the hull
-    and equality exactly on the facet: the extreme rays (a, -b) of the cone
-    of pairs with a.p - b <= 0 at every point p.
+    Returns sorted triples (a, b, mask): a primitive, a.x <= b valid on the
+    hull with equality exactly on the facet, and bit i of mask set when the
+    i-th distinct point lies on it. They are the extreme rays (a, -b) of the
+    cone of pairs with a.p - b <= 0 at every point p, with their tight rows.
     """
     pts = [tuple(int(c) for c in p) for p in dict.fromkeys(map(tuple, points))]
-    d = len(pts[0])
-    if affine_rank(pts) != d:
+    rays = _extreme_rays([p + (1,) for p in pts])
+    if rays is None:
         raise DegenerateInput("facet enumeration needs a full-dimensional hull")
-    return sorted((z[:-1], -z[-1]) for z in _extreme_rays([p + (1,) for p in pts]))
+    return sorted((z[:-1], -z[-1], mask) for z, mask in rays)
 
 
 def _satisfies(facets, x) -> bool:
-    return all(_dot(a, x) <= b for a, b in facets)
+    return all(_dot(a, x) <= b for a, b, _ in facets)
 
 
 def _bounding_box(points):
@@ -190,7 +194,7 @@ def interior_lattice_points(points) -> list[LatticePoint]:
     facets = affine_facets(points)
     out = []
     for u in itertools.product(*_bounding_box(points)):
-        if all(_dot(a, u) < b for a, b in facets):
+        if all(_dot(a, u) < b for a, b, _ in facets):
             out.append(u)
     return sorted(out)
 
@@ -210,16 +214,15 @@ def triangulate(points) -> list[tuple[LatticePoint, ...]]:
         return [tuple(pts)]
     if d == 1:
         return [(pts[0], pts[-1])]
-    v0 = pts[0]
     simplices = []
-    for a, b in affine_facets(pts):
-        if _dot(a, v0) == b:
-            continue
-        face_pts = [p for p in pts if _dot(a, p) == b]
+    for _, _, mask in affine_facets(pts):
+        if mask & 1:
+            continue  # the facet holds the cone point pts[0]
+        face_pts = [p for i, p in enumerate(pts) if mask >> i & 1]
         chart = AffineChart(face_pts)
         local = {chart.to_local(p): p for p in face_pts}
         for sub in triangulate(list(local)):
-            simplices.append((v0,) + tuple(local[q] for q in sub))
+            simplices.append((pts[0],) + tuple(local[q] for q in sub))
     return simplices
 
 
@@ -518,10 +521,10 @@ class NewtonPolyhedron:
                 for i in range(n + 1)
             )
             if h < 0:
-                raise AssertionError(f"negative Hodge number H({k}) = {h}")
+                raise BrokenInvariant(f"negative Hodge number H({k}) = {h}")
             h_counts[k] = h
         if sum(h_counts.values()) != self.normalized_volume:
-            raise AssertionError("Hodge numbers do not sum to the normalized volume")
+            raise BrokenInvariant("Hodge numbers do not sum to the normalized volume")
         runs = ((Fraction(k, d), h) for k, h in h_counts.items())
         self._hodge = HodgeData(w_counts, h_counts, LowerPolygon.from_runs(runs))
         return self._hodge
@@ -549,7 +552,7 @@ class NewtonPolyhedron:
             for f in self.facets_away_from_origin
         )
         if shared != (self._scaled_weight(_add(u, u2)) == k1 + k2):
-            raise AssertionError("cofaciality disagrees with weight additivity")
+            raise BrokenInvariant("cofaciality disagrees with weight additivity")
         return shared
 
 
@@ -565,11 +568,11 @@ def build(support: Support) -> NewtonPolyhedron:
     pts = support.points
     away = []
     cone = []
-    for a, b in affine_facets(list(pts) + [(0,) * n]):
+    for a, b, mask in affine_facets(list(pts) + [(0,) * n]):
         if b == 0:
             cone.append(tuple(-c for c in a))
             continue
-        incident = tuple(i for i, p in enumerate(pts) if _dot(a, p) == b)
+        incident = tuple(i for i in range(len(pts)) if mask >> i & 1)
         away.append(Facet(a, b, incident))
     away.sort(key=lambda f: f.normal)
     return NewtonPolyhedron(

@@ -6,6 +6,8 @@ same data another way and are used only by the tests:
 
 - `sweep_extreme_rays`: the same extreme rays from the kernels of all
   (N-1)-row subsets;
+- `sweep_cone`: those rays in the enumerator's form, with their tight rows
+  found by dot products;
 - `difference_facets`: facets from the kernels of point differences;
 - `in_hull`: hull membership from those facets;
 - `lp_min_sum`: the exact linear program over basic solutions.
@@ -38,6 +40,18 @@ def sweep_extreme_rays(rows):
         elif min(sides) >= 0:
             found.add(tuple(-c for c in z))
     return sorted(found)
+
+
+def sweep_cone(rows):
+    """`polytope._extreme_rays` by the sweep: sorted (ray, mask) pairs, bit i
+    of the mask set when row i is tight on the ray, or None when the rows
+    have rank < N."""
+    if xm.rational_rank(rows) < len(rows[0]):
+        return None
+    return [
+        (z, sum(1 << i for i, row in enumerate(rows) if sum(map(mul, row, z)) == 0))
+        for z in sweep_extreme_rays(rows)
+    ]
 
 
 def difference_facets(points):

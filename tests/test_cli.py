@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npoly import catalog, cli, diagonal, exactmath, polytope
-from oracles import sweep_extreme_rays
+from oracles import sweep_cone
 from test_catalog import CASES as CATALOG_CASES
 
 
@@ -382,6 +382,18 @@ class TestInputHandling:
             assert out == ""
             assert err == "error: 4 ray pairs are too many at stage facets\n"
 
+    def test_broken_invariant_exits_without_traceback(self, tmp_path, capsys, monkeypatch):
+        volume = polytope.NewtonPolyhedron.normalized_volume.func
+        monkeypatch.setattr(polytope.NewtonPolyhedron, "normalized_volume",
+                            property(lambda poly: volume(poly) + 1))
+        path = write_doc(tmp_path, MONOMIAL_3)
+        code, out, err = run_cli(capsys, ["hodge", path])
+        assert code == 6
+        assert out == ""
+        assert err == (
+            "error: broken invariant: Hodge numbers do not sum to the normalized volume\n"
+        )
+
     def test_family_and_support_exclusive(self, tmp_path, capsys):
         doc = dict(KLOOSTERMAN)
         doc["family"] = {"name": "monomial", "parameters": {"d": 3}}
@@ -518,6 +530,6 @@ class TestParser:
 def test_reports_match_subset_sweep_on_lattice_rich_box(tmp_path, capsys, monkeypatch, command):
     path = write_doc(tmp_path, BOX_212)
     fast = run_cli(capsys, command + [path])
-    monkeypatch.setattr(polytope, "_extreme_rays", sweep_extreme_rays)
+    monkeypatch.setattr(polytope, "_extreme_rays", sweep_cone)
     assert run_cli(capsys, command + [path]) == fast
     assert fast[0] == 0

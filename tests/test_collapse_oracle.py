@@ -56,7 +56,7 @@ def ref_collapse_step(vset, chosen):
     if pt._satisfies(rest_facets, local[chosen]):
         raise DegenerateInput("chosen point is not a vertex of the hull")
     pieces = [rest]
-    for a, b in rest_facets:
+    for a, b, _ in rest_facets:
         if pt._dot(a, local[chosen]) <= b:
             continue
         cone_facets = pt.affine_facets(
@@ -73,7 +73,7 @@ def _ref_valid_choices(pts, n):
     out = []
     for p in pts:
         others = [local[q] for q in pts if q != p]
-        active = [a for a, b in facets if pt._dot(a, local[p]) == b]
+        active = [a for a, b, _ in facets if pt._dot(a, local[p]) == b]
         if xm.rational_rank(active) == n - 1 and pt.affine_rank(others) == n - 1:
             out.append(p)
     return out
@@ -254,6 +254,14 @@ class TestAgainstReference:
     def test_lifted_polytopes(self, pts):
         assert_matches_reference(pts)
 
+    @given(st.one_of(lifted_polygons(), lifted_polytopes()))
+    @settings(max_examples=100, deadline=None)
+    def test_valid_choices(self, pts):
+        # the bit tests on facet masks against the rank tests
+        n = len(pts[0])
+        local = dc._local_coordinates(pts)
+        assert dc._valid_choices(pts, local) == _ref_valid_choices(pts, n)
+
     def test_every_catalog_face(self):
         faces = catalog_faces()
         assert any(len(face) > len(face[0]) for face in faces)
@@ -322,3 +330,20 @@ class TestWorkDoneOnce:
         assert set(res.pieces) <= set(computed)
         if strategy == "first-lex":
             assert set(computed) == set(res.pieces)
+
+    @pytest.mark.parametrize("strategy", dc.STRATEGIES)
+    def test_incidences_come_from_the_enumerator(self, strategy, monkeypatch):
+        # vertex choices and pieces are read off the facet masks, so only
+        # the input's two validation checks take a rank
+        ranks = []
+        rank = xm.rational_rank
+        monkeypatch.setattr(xm, "rational_rank", lambda v: ranks.append(v) or rank(v))
+        enumerations = []
+        facets = pt.affine_facets
+        monkeypatch.setattr(pt, "affine_facets",
+                            lambda p: enumerations.append(p) or facets(p))
+        res = dc.complete_collapse(POLYGON_7, strategy)
+        assert len(ranks) == 2
+        if strategy == "first-lex":
+            # one enumeration for the vertex choices, one for the step
+            assert len(enumerations) == 2 * len(res.choice_log) == 8

@@ -367,10 +367,10 @@ class TestRegularSubdivision:
             strictly_inside = [
                 cell
                 for cell, ineqs in facets.items()
-                if all(sum(a * c for a, c in zip(av, (x, y))) < b for av, b in ineqs)
+                if all(sum(a * c for a, c in zip(av, (x, y))) < b for av, b, _ in ineqs)
             ]
             on_boundary = any(
-                any(sum(a * c for a, c in zip(av, (x, y))) == b for av, b in ineqs)
+                any(sum(a * c for a, c in zip(av, (x, y))) == b for av, b, _ in ineqs)
                 for ineqs in facets.values()
             )
             if on_boundary:

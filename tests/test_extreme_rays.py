@@ -1,14 +1,18 @@
 """The double-description extreme-ray enumerator against the subset sweep.
 
 `sweep_extreme_rays` (tests/oracles.py) reads every (N-1)-row subset's
-kernel; `polytope._extreme_rays` inserts one row at a time. Both must give
-the same sorted primitive rays on any integer rows, including rows of rank
-below N and repeated or zero rows.
+kernel; `polytope._extreme_rays` inserts one row at a time. On rows of rank
+N, repeated and zero rows included, both must give the same sorted
+primitive rays, and each ray's mask must mark exactly the rows tight on
+it. Rows of rank below N give None.
 """
+
+from operator import mul
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from npoly import exactmath as xm
 from npoly import polytope as pt
 from oracles import sweep_extreme_rays
 
@@ -59,4 +63,10 @@ hull_rows = st.integers(1, 4).flatmap(
 @example([(1, 2, 0), (2, 4, 0), (-1, -2, 0)])
 @settings(max_examples=400, deadline=None)
 def test_extreme_rays_match_subset_sweep(rows):
-    assert pt._extreme_rays(rows) == sweep_extreme_rays(rows)
+    found = pt._extreme_rays(rows)
+    if xm.rational_rank(rows) < len(rows[0]):
+        assert found is None
+        return
+    assert [z for z, _ in found] == sweep_extreme_rays(rows)
+    for z, mask in found:
+        assert mask == sum(1 << i for i, g in enumerate(rows) if sum(map(mul, g, z)) == 0)

@@ -30,8 +30,12 @@ point_sets = st.integers(1, 4).flatmap(
 @given(point_sets)
 @settings(max_examples=200, deadline=None)
 def test_affine_facets_match_difference_sweep(points):
+    facets = pt.affine_facets(points)
     # in dimension 1 the difference route lists the two facets unsorted
-    assert pt.affine_facets(points) == sorted(difference_facets(points))
+    assert [(a, b) for a, b, _ in facets] == sorted(difference_facets(points))
+    distinct = list(dict.fromkeys(points))
+    for a, b, mask in facets:
+        assert mask == sum(1 << i for i, p in enumerate(distinct) if pt._dot(a, p) == b)
 
 
 def random_full_dimensional(rng, d):
@@ -53,7 +57,7 @@ def test_affine_facets_match_qhull_incidences(d):
         pts = random_full_dimensional(rng, d)
         exact = {
             frozenset(i for i, p in enumerate(pts) if pt._dot(a, p) == b)
-            for a, b in pt.affine_facets(pts)
+            for a, b, _ in pt.affine_facets(pts)
         }
         # Qhull triangulates non-simplicial facets; coplanar simplices share
         # one incidence set, so collecting the sets merges them
