@@ -60,10 +60,20 @@ def _as_int(value, what: str) -> int:
     raise InputError(f"{what} must be an integer or decimal string")
 
 
-def _fmt_rational(x: Fraction) -> str:
+def _fmt_int(x: int) -> str:
+    # only decompose reports need this: the other commands refuse, at a
+    # budget, any input whose report integers could outgrow the limit
+    if not polytope._prints(x):
+        raise DegenerateInput(
+            f"a {x.bit_length()}-bit integer is too long to print at stage render"
+        )
+    return str(x)
+
+
+def _fmt_rational(x: Fraction, fmt_int=str) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return fmt_int(x.numerator)
+    return f"{fmt_int(x.numerator)}/{fmt_int(x.denominator)}"
 
 
 def _fmt_point(p) -> list[str]:
@@ -246,17 +256,17 @@ def cmd_decompose(
     for i, (fp, collapse) in enumerate(faces):
         row = {
             "face": i,
-            "normal": [_fmt_rational(c) for c in fp.facet.normal],
+            "normal": [_fmt_rational(c, _fmt_int) for c in fp.facet.normal],
             "support_points": [_fmt_point(q) for q in fp.restricted_support],
             "diagonal": fp.is_diagonal,
         }
         if fp.is_diagonal:
             snf = xm.snf(xm.IntMatrix.from_columns(fp.restricted_support))
-            row["invariant_factors"] = [str(d) for d in snf.diag]
+            row["invariant_factors"] = [_fmt_int(d) for d in snf.diag]
         row["collapse"] = {
             "pieces": [[_fmt_point(q) for q in piece] for piece in collapse.pieces],
-            "piece_invariant_factors": [str(d) for d in collapse.piece_invariant_factors],
-            "dstar": str(collapse.dstar),
+            "piece_invariant_factors": [_fmt_int(d) for d in collapse.piece_invariant_factors],
+            "dstar": _fmt_int(collapse.dstar),
             "choice_log": [_fmt_point(q) for q in collapse.choice_log],
         }
         face_rows.append(row)
@@ -270,11 +280,11 @@ def cmd_decompose(
         report["p"] = str(p)
         report["certificate"] = {
             "certified": cert.certified,
-            "dstar": str(cert.dstar),
+            "dstar": _fmt_int(cert.dstar),
             "reason": cert.reason,
         }
     else:
-        report["dstar"] = str(
+        report["dstar"] = _fmt_int(
             lcm(*(int(row["collapse"]["dstar"]) for row in face_rows))
         )
     return report

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from . import diagonal as dg
@@ -165,50 +166,7 @@ def collapse_step(vset, chosen) -> tuple[tuple[LatticePoint, ...], ...]:
         return (pts,)
     if pt.affine_rank([p for p in pts if p != chosen]) != n - 1:
         raise DegenerateInput("removing the chosen vertex drops the dimension")
-    return _step(pts, _local_coordinates(pts), chosen)
-
-
-def _local_coordinates(pts) -> dict:
-    """Each point of a validated set in the set's own affine chart."""
-    chart = pt.AffineChart(pts)
-    return {p: chart.to_local(p) for p in pts}
-
-
-def _step(pts, local, chosen):
-    """collapse_step on a validated set of more than n points, in its chart,
-    for a chosen point whose removal keeps the set full-dimensional.
-
-    A facet F of the remainder visible from the chosen vertex v gives the
-    piece conv(F + v), which meets the set in exactly F's points and v: a
-    pyramid over a facet, so full-dimensional, read off F's incidence mask.
-    """
-    rest = tuple(p for p in pts if p != chosen)
-    rest_facets = pt.affine_facets([local[p] for p in rest])
-    if pt._satisfies(rest_facets, local[chosen]):
-        raise DegenerateInput("chosen point is not a vertex of the hull")
-    pieces = [rest]
-    for a, b, mask in rest_facets:
-        if pt._dot(a, local[chosen]) <= b:
-            continue  # facet not visible from the removed vertex
-        face = [p for i, p in enumerate(rest) if mask >> i & 1]
-        pieces.append(tuple(sorted(face + [chosen])))
-    return tuple(pieces)
-
-
-def _valid_choices(pts, local):
-    """Hull vertices (the facets through p meet in p alone) whose removal
-    keeps the set full-dimensional (no facet holds every other point)."""
-    masks = [mask for _, _, mask in pt.affine_facets([local[p] for p in pts])]
-    full = (1 << len(pts)) - 1
-    out = []
-    for i, p in enumerate(pts):
-        bit = 1 << i
-        meet = full
-        for mask in masks:
-            meet &= mask if mask & bit else full
-        if meet == bit and full ^ bit not in masks:
-            out.append(p)
-    return out
+    return pt._step(pts, pt._local_coordinates(pts), chosen)
 
 
 def _piece_factor(piece, factors: dict) -> int:
@@ -218,43 +176,14 @@ def _piece_factor(piece, factors: dict) -> int:
     return factors[piece]
 
 
-def _greedy_collapse(pts, n, pick, factors):
-    stack = [pts]
-    final = []
-    log = []
-    while stack:
-        cur = stack.pop(0)
-        if len(cur) == n:
-            final.append(cur)
-            continue
-        local = _local_coordinates(cur)
-        choices = _valid_choices(cur, local)
-        if not choices:
-            raise DegenerateInput("no vertex can be removed without degenerating")
-        chosen, pieces = pick(cur, n, local, choices, factors)
-        log.append(chosen)
-        stack.extend(pieces)
-    return final, log
-
-
-def _pick_first_lex(cur, n, local, choices, factors):
-    chosen = min(choices)
-    return chosen, _step(cur, local, chosen)
-
-
-def _pick_max_invariant_factor(cur, n, local, choices, factors):
+def _pick_max_invariant_factor(cur, local, choices, n, factors):
     """Prefer the vertex whose step peels off the largest invariant factor;
     returns it with the pieces of its step."""
-    best = None
-    for cand in sorted(choices):
-        pieces = _step(cur, local, cand)
-        score = max(
-            (_piece_factor(piece, factors) for piece in pieces if len(piece) == n),
-            default=0,
-        )
-        if best is None or score > best[0]:
-            best = (score, cand, pieces)
-    return best[1], best[2]
+    def score(step):
+        return max((_piece_factor(p, factors) for p in step[1] if len(p) == n), default=0)
+
+    # max keeps the first of equal scores, so ties go to the least vertex
+    return max(((cand, pt._step(cur, local, cand)) for cand in sorted(choices)), key=score)
 
 
 def _achievable_collapses(pts, n, memo, factors):
@@ -272,12 +201,12 @@ def _achievable_collapses(pts, n, memo, factors):
         memo[key] = {_piece_factor(pts, factors): ((pts,), ())}
         return memo[key]
     out: dict = {}
-    local = _local_coordinates(pts)
-    candidates = sorted(_valid_choices(pts, local))
+    local = pt._local_coordinates(pts)
+    candidates = sorted(pt._valid_choices(pts, local))
     if not candidates:
         raise DegenerateInput("no vertex can be removed without degenerating")
     for cand in candidates:
-        pieces = _step(pts, local, cand)
+        pieces = pt._step(pts, local, cand)
         combos = {1: ((), ())}
         for piece in pieces:
             child = _achievable_collapses(piece, n, memo, factors)
@@ -314,9 +243,11 @@ def complete_collapse(vset, strategy: str = "first-lex") -> CollapseResult:
         achievable = _achievable_collapses(pts, n, {}, factors)
         pieces, log = achievable[min(achievable)]
         final, choice_log = list(pieces), list(log)
+    elif strategy == "first-lex":
+        final, choice_log = pt._greedy_collapse(pts, n)
     else:
-        pick = _pick_first_lex if strategy == "first-lex" else _pick_max_invariant_factor
-        final, choice_log = _greedy_collapse(pts, n, pick, factors)
+        pick = partial(_pick_max_invariant_factor, n=n, factors=factors)
+        final, choice_log = pt._greedy_collapse(pts, n, pick)
     unique = list(dict.fromkeys(tuple(sorted(piece)) for piece in final))
     piece_factors = tuple(_piece_factor(piece, factors) for piece in unique)
     return CollapseResult(

@@ -171,7 +171,7 @@ def _check_order(ds: DiagonalSimplex, stage: str) -> None:
     """Refuse a group too large to enumerate, before anything is allocated."""
     if ds.group_order > pt.ENUMERATION_LIMIT:
         raise DegenerateInput(
-            f"group of order {ds.group_order} is too large at stage {stage}"
+            f"group of order {pt._count_text(ds.group_order)} is too large at stage {stage}"
         )
 
 
@@ -199,7 +199,7 @@ def m_degree(element: GroupElement, m: int) -> int:
 def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
     """Partition of the group under a -> p*a mod d_n, sorted by (slope, representative)."""
     if gcd(p, ds.group_order) != 1:
-        raise NotCoprime(f"{p} divides the group order {ds.group_order}")
+        raise NotCoprime(f"{p} divides the group order {pt._count_text(ds.group_order)}")
     dn = ds.largest_invariant_factor
     remaining = {e.a: e for e in ds.group}
     found = []
@@ -305,7 +305,7 @@ def _norm_stable(element: GroupElement, m: int) -> bool:
 def is_ordinary(ds: DiagonalSimplex, p: int) -> OrdinaryVerdict:
     """Norm stability under the p-action, with the first violator as witness."""
     if gcd(p, ds.group_order) != 1:
-        raise NotCoprime(f"{p} divides the group order {ds.group_order}")
+        raise NotCoprime(f"{p} divides the group order {pt._count_text(ds.group_order)}")
     for e in ds.group:
         if not _norm_stable(e, p):
             return OrdinaryVerdict(False, e)

@@ -1,20 +1,21 @@
 """Newton polyhedra of lattice supports: facets, weights, Hodge data.
 
-Also houses the small exact-geometry toolkit (affine lattice charts, one
+Also houses the exact-geometry toolkit: affine lattice charts, one
 double-description extreme-ray enumerator for vertices and for facets with
-their point incidences, pulling triangulation) that the decomposition
-machinery builds on. All coordinates are integers or ``fractions.Fraction``.
+their point incidences, and one triangulation, the complete collapse, for
+the volume and `np decompose`. Coordinates are integers or Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb, gcd, lcm
-from operator import mul
+from operator import and_, mul
 
 from . import exactmath as xm
 from .errors import (BrokenInvariant, DegenerateInput, DegenerateMatrix,
@@ -25,6 +26,18 @@ LatticePoint = xm.LatticePoint
 # Bounding-box scans, Hodge tables, groups and prime scans refuse to
 # enumerate more elements than this.
 ENUMERATION_LIMIT = 5_000_000
+
+
+def _prints(x: int) -> bool:
+    """Whether str(x) is within CPython's limit on decimal digits."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # below 2**(3 * limit) < 10**limit no power of ten is needed
+    return not limit or x.bit_length() <= 3 * limit or abs(x) < 10**limit
+
+
+def _count_text(x: int) -> str:
+    """A count for a budget message, or its bit length when it cannot print."""
+    return str(x) if _prints(x) else f"<{x.bit_length()}-bit number>"
 
 
 def _dot(a, b):
@@ -171,20 +184,22 @@ def _satisfies(facets, x) -> bool:
     return all(_dot(a, x) <= b for a, b, _ in facets)
 
 
-def _bounding_box(points):
+def _bounding_box(points, stage):
     los = [min(p[i] for p in points) for i in range(len(points[0]))]
     his = [max(p[i] for p in points) for i in range(len(points[0]))]
     size = 1
     for lo, hi in zip(los, his):
         size *= hi - lo + 1
     if size > ENUMERATION_LIMIT:
-        raise DegenerateInput(f"enumeration box of {size} points is too large")
+        raise DegenerateInput(
+            f"enumeration box of {_count_text(size)} points is too large at stage {stage}"
+        )
     return [range(lo, hi + 1) for lo, hi in zip(los, his)]
 
 
 def hull_lattice_points(points) -> list[LatticePoint]:
     """All lattice points of a full-dimensional hull, by bounding-box scan."""
-    box = _bounding_box(points)
+    box = _bounding_box(points, "hull_lattice_points")
     facets = affine_facets(points)
     return sorted(u for u in itertools.product(*box) if _satisfies(facets, u))
 
@@ -193,49 +208,81 @@ def interior_lattice_points(points) -> list[LatticePoint]:
     """Lattice points strictly inside a full-dimensional hull in Z^d."""
     facets = affine_facets(points)
     out = []
-    for u in itertools.product(*_bounding_box(points)):
+    for u in itertools.product(*_bounding_box(points, "interior_lattice_points")):
         if all(_dot(a, u) < b for a, b, _ in facets):
             out.append(u)
     return sorted(out)
 
 
-def triangulate(points) -> list[tuple[LatticePoint, ...]]:
-    """Pulling triangulation of a full-dimensional lattice polytope in Z^d.
+def _local_coordinates(pts) -> dict:
+    """Each point of a codimension-1 set in the set's own affine chart."""
+    chart = AffineChart(pts)
+    return {p: chart.to_local(p) for p in pts}
 
-    Recursively cones the lexicographically least vertex over the facets
-    that do not contain it; interior points are simply not used, which is
-    fine for the volume computations this feeds.
+
+def _hull_vertices(masks, count) -> list[int]:
+    """Indices i < count at which the facets through point i meet in it
+    alone, given each facet's incidence mask: the hull's vertices."""
+    full = (1 << count) - 1
+    return [i for i in range(count)
+            if reduce(and_, (m for m in masks if m >> i & 1), full) == 1 << i]
+
+
+def _valid_choices(pts, local):
+    """Hull vertices whose removal keeps the set full-dimensional (no facet
+    holds every other point)."""
+    masks = [mask for _, _, mask in affine_facets([local[p] for p in pts])]
+    full = (1 << len(pts)) - 1
+    return [pts[i] for i in _hull_vertices(masks, len(pts))
+            if full ^ (1 << i) not in masks]
+
+
+def _step(pts, local, chosen):
+    """One collapse step on a sorted codimension-1 set of more than n points,
+    in its chart, for a chosen point whose removal keeps it full-dimensional.
+
+    Returns the remainder set followed by one piece per facet F of the
+    remainder's hull visible from the chosen vertex v: conv(F + v), which
+    meets the set in exactly F's points and v, read off F's incidence mask.
     """
-    pts = sorted(dict.fromkeys(map(tuple, points)))
-    d = len(pts[0])
-    if affine_rank(pts) != d:
-        raise DegenerateInput("triangulation needs a full-dimensional hull")
-    if len(pts) == d + 1:
-        return [tuple(pts)]
-    if d == 1:
-        return [(pts[0], pts[-1])]
-    simplices = []
-    for _, _, mask in affine_facets(pts):
-        if mask & 1:
-            continue  # the facet holds the cone point pts[0]
-        face_pts = [p for i, p in enumerate(pts) if mask >> i & 1]
-        chart = AffineChart(face_pts)
-        local = {chart.to_local(p): p for p in face_pts}
-        for sub in triangulate(list(local)):
-            simplices.append((pts[0],) + tuple(local[q] for q in sub))
-    return simplices
+    rest = tuple(p for p in pts if p != chosen)
+    rest_facets = affine_facets([local[p] for p in rest])
+    if _satisfies(rest_facets, local[chosen]):
+        raise DegenerateInput("chosen point is not a vertex of the hull")
+    pieces = [rest]
+    for a, b, mask in rest_facets:
+        if _dot(a, local[chosen]) <= b:
+            continue  # facet not visible from the removed vertex
+        face = [p for i, p in enumerate(rest) if mask >> i & 1]
+        pieces.append(tuple(sorted(face + [chosen])))
+    return tuple(pieces)
 
 
-def normalized_volume(points) -> int:
-    """n! times the Euclidean volume of the hull, an exact integer (1 for a point)."""
-    simplices = triangulate(points)
-    if len(simplices[0]) == 1:
-        return 1
-    total = 0
-    for simplex in simplices:
-        m = xm.IntMatrix.from_columns([_sub(p, simplex[0]) for p in simplex[1:]])
-        total += abs(xm.determinant(m))
-    return total
+def _pick_first_lex(cur, local, choices):
+    chosen = min(choices)
+    return chosen, _step(cur, local, chosen)
+
+
+def _greedy_collapse(pts, n, pick=_pick_first_lex):
+    """Complete collapse of a sorted codimension-1 set: (n-point pieces,
+    chosen vertices). A step is a placing step run backwards, so the pieces
+    triangulate the hull. pick(set, chart, choices) returns (vertex, step)."""
+    stack = [pts]
+    final = []
+    log = []
+    while stack:
+        cur = stack.pop(0)
+        if len(cur) == n:
+            final.append(cur)
+            continue
+        local = _local_coordinates(cur)
+        choices = _valid_choices(cur, local)
+        if not choices:
+            raise DegenerateInput("no vertex can be removed without degenerating")
+        chosen, pieces = pick(cur, local, choices)
+        log.append(chosen)
+        stack.extend(pieces)
+    return final, log
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +318,8 @@ class Facet:
     """Codimension-1 face away from the origin, on the hyperplane a.x = b.
 
     a is primitive and b > 0, so b is the facet's denominator and the
-    lattice distance of the hyperplane from the origin.
+    lattice distance of the hyperplane from the origin. vertex_indices
+    lists every support point on the facet, not only its vertices.
     """
 
     a: LatticePoint
@@ -459,18 +507,25 @@ class NewtonPolyhedron:
 
     @cached_property
     def normalized_volume(self) -> int:
-        """Sum over the away-facets F of b_F times vol(F), computed on first read.
+        """Sum of |det σ| over the pieces σ of each away-facet's first-lex
+        complete collapse, computed on first read.
 
-        Coning F from the origin gives a pyramid of lattice height b_F, and
-        these pyramids tile the polyhedron.
+        The collapse runs on the facet's vertices: the support points at
+        which the facets through them (the away-facets' incidences and the
+        cone facets g.x = 0) meet alone. Its pieces triangulate the facet;
+        coned from the origin, they tile the polyhedron with simplices of
+        normalized volume |det σ|.
         """
         pts = self.support.points
-        volume = 0
-        for f in self.facets_away_from_origin:
-            face = [pts[i] for i in f.vertex_indices]
-            chart = AffineChart(face)
-            volume += f.b * normalized_volume([chart.to_local(p) for p in face])
-        return volume
+        away = self.facets_away_from_origin
+        masks = [sum(1 << i for i in f.vertex_indices) for f in away]
+        masks += [sum(1 << i for i, p in enumerate(pts) if _dot(g, p) == 0)
+                  for g in self.cone_normals]
+        vertices = set(_hull_vertices(masks, len(pts)))
+        faces = (tuple(sorted(pts[i] for i in f.vertex_indices if i in vertices))
+                 for f in away)
+        return sum(abs(xm.determinant(xm.IntMatrix.from_columns(piece)))
+                   for face in faces for piece in _greedy_collapse(face, self.dim)[0])
 
     def in_cone(self, u) -> bool:
         return all(_dot(g, u) >= 0 for g in self.cone_normals)
@@ -506,9 +561,11 @@ class NewtonPolyhedron:
         kmax = n * d
         dilated = [tuple(n * c for c in p) for p in self.support.points] + [(0,) * n]
         # refuse an oversized box or table before allocating
-        box = _bounding_box(dilated)
+        box = _bounding_box(dilated, "hodge")
         if kmax + 1 > ENUMERATION_LIMIT:
-            raise DegenerateInput(f"table of {kmax + 1} rows is too large at stage hodge")
+            raise DegenerateInput(
+                f"table of {_count_text(kmax + 1)} rows is too large at stage hodge"
+            )
         w_counts = {k: 0 for k in range(kmax + 1)}
         for u in itertools.product(*box):
             k = self._scaled_weight(u)

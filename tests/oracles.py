@@ -10,7 +10,9 @@ same data another way and are used only by the tests:
   found by dot products;
 - `difference_facets`: facets from the kernels of point differences;
 - `in_hull`: hull membership from those facets;
-- `lp_min_sum`: the exact linear program over basic solutions.
+- `lp_min_sum`: the exact linear program over basic solutions;
+- `triangulate` and `normalized_volume`: the pulling triangulation and the
+  volume it gives, against the library's volume from the collapse.
 """
 
 import itertools
@@ -122,3 +124,42 @@ def lp_min_sum(generators, u) -> Fraction | None:
         if best is None or total[0] * best[1] < best[0] * total[1]:
             best = total
     return None if best is None else Fraction(*best)
+
+
+def triangulate(points):
+    """Pulling triangulation of a full-dimensional lattice polytope in Z^d.
+
+    Recursively cones the lexicographically least vertex over the facets
+    that do not contain it; interior points are simply not used, which is
+    fine for the volume computations this feeds.
+    """
+    pts = sorted(dict.fromkeys(map(tuple, points)))
+    d = len(pts[0])
+    if pt.affine_rank(pts) != d:
+        raise DegenerateInput("triangulation needs a full-dimensional hull")
+    if len(pts) == d + 1:
+        return [tuple(pts)]
+    if d == 1:
+        return [(pts[0], pts[-1])]
+    simplices = []
+    for _, _, mask in pt.affine_facets(pts):
+        if mask & 1:
+            continue  # the facet holds the cone point pts[0]
+        face_pts = [p for i, p in enumerate(pts) if mask >> i & 1]
+        chart = pt.AffineChart(face_pts)
+        local = {chart.to_local(p): p for p in face_pts}
+        for sub in triangulate(list(local)):
+            simplices.append((pts[0],) + tuple(local[q] for q in sub))
+    return simplices
+
+
+def normalized_volume(points) -> int:
+    """n! times the Euclidean volume of the hull, an exact integer (1 for a point)."""
+    simplices = triangulate(points)
+    if len(simplices[0]) == 1:
+        return 1
+    total = 0
+    for simplex in simplices:
+        m = xm.IntMatrix.from_columns([pt._sub(p, simplex[0]) for p in simplex[1:]])
+        total += abs(xm.determinant(m))
+    return total

@@ -357,6 +357,39 @@ class TestInputHandling:
             assert err.startswith("error:") and "too large" in err
             assert "Traceback" not in err
 
+    BIG = "1" + "0" * 3000  # its square has 6,001 digits, past CPython's 4,300
+
+    @pytest.mark.parametrize("support,command,message", [
+        ([[BIG, "0"], ["0", BIG]], ["hodge"],
+         "enumeration box of <19934-bit number> points is too large at stage hodge"),
+        ([[BIG, "0"], ["0", BIG]], ["diagonal", "-p", "7"],
+         "group of order <19932-bit number> is too large at stage group"),
+        ([[BIG, "0"], ["0", BIG]], ["ordinary-classes"],
+         "group of order <19932-bit number> is too large at stage ordinary_residues"),
+        ([[BIG, "0"], ["0", BIG]], ["scan", "--bound", "30"],
+         "group of order <19932-bit number> is too large at stage ordinary_residues"),
+        ([[BIG, "1"], ["1", BIG]], ["hodge"],
+         "enumeration box of <19934-bit number> points is too large at stage hodge"),
+        ([[BIG, "1"], ["1", BIG]], ["decompose"],
+         "a 19932-bit integer is too long to print at stage render"),
+    ], ids=["hodge", "diagonal", "ordinary-classes", "scan", "hodge-off", "decompose-off"])
+    def test_integers_too_long_to_print(self, tmp_path, capsys, support, command, message):
+        path = write_doc(tmp_path, {"n": 2, "support": support})
+        for fmt in sorted(cli.RENDERERS):
+            code, out, err = run_cli(capsys, command[:1] + [path] + command[1:]
+                                     + ["--format", fmt])
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {message}\n"
+
+    def test_box_refusal_names_its_stage(self, tmp_path, capsys):
+        # the 3-fold dilation spans a box of 301**3 points
+        path = write_doc(tmp_path, {"n": 3, "support": [[100, 0, 0], [0, 100, 0], [0, 0, 100]]})
+        code, out, err = run_cli(capsys, ["hodge", path])
+        assert code == 2
+        assert out == ""
+        assert err == "error: enumeration box of 27270901 points is too large at stage hodge\n"
+
     def test_oversized_hodge_table_refused(self, tmp_path, capsys):
         path = write_doc(tmp_path, HUGE_TABLE)
         for fmt in sorted(cli.RENDERERS):
@@ -468,19 +501,23 @@ class TestWorkDoneOnce:
     def test_n_point_commands_skip_the_hull_machinery(
         self, tmp_path, capsys, monkeypatch, command, builds
     ):
-        counts = {"build": 0, "triangulate": 0}
-        for name in counts:
-            original = getattr(polytope, name)
+        counts = {"build": 0, "volume": 0}
+        build = polytope.build
+        volume = polytope.NewtonPolyhedron.normalized_volume.func
 
-            def counted(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
+        def counted(name, original):
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+            return call
 
-            monkeypatch.setattr(polytope, name, counted)
+        monkeypatch.setattr(polytope, "build", counted("build", build))
+        monkeypatch.setattr(polytope.NewtonPolyhedron, "normalized_volume",
+                            property(counted("volume", volume)))
         path = write_doc(tmp_path, FIVE_DIM)
         code, _, _ = run_cli(capsys, command[:1] + [path] + command[1:])
         assert code == 0
-        assert counts == {"build": builds, "triangulate": 0}
+        assert counts == {"build": builds, "volume": 0}
 
 
 class TestParser:

@@ -142,6 +142,11 @@ def commands(draw):
     command=["hodge"],
     fmt="text",
 )
+@example(  # |det| has 6,001 digits, past CPython's 4,300-digit printing limit
+    text=json.dumps({"n": 2, "support": [["1" + "0" * 3000, "1"], ["1", "1" + "0" * 3000]]}),
+    command=["decompose", "--strategy", "first-lex"],
+    fmt="json",
+)
 @settings(max_examples=400, deadline=None)
 def test_every_document_gets_a_documented_exit(text, command, fmt):
     with tempfile.TemporaryDirectory() as tmp:

@@ -259,8 +259,8 @@ class TestAgainstReference:
     def test_valid_choices(self, pts):
         # the bit tests on facet masks against the rank tests
         n = len(pts[0])
-        local = dc._local_coordinates(pts)
-        assert dc._valid_choices(pts, local) == _ref_valid_choices(pts, n)
+        local = pt._local_coordinates(pts)
+        assert pt._valid_choices(pts, local) == _ref_valid_choices(pts, n)
 
     def test_every_catalog_face(self):
         faces = catalog_faces()
@@ -293,9 +293,9 @@ class TestWorkDoneOnce:
         build = pt.build
         monkeypatch.setattr(pt, "build", lambda s: builds.append(s) or build(s))
         volumes = []
-        volume = pt.normalized_volume
-        monkeypatch.setattr(pt, "normalized_volume",
-                            lambda p: volumes.append(p) or volume(p))
+        volume = pt.NewtonPolyhedron.normalized_volume.func
+        monkeypatch.setattr(pt.NewtonPolyhedron, "normalized_volume",
+                            property(lambda poly: volumes.append(poly) or volume(poly)))
         (face,) = dc.facial_decompose(pt.Support(3, POLYGON_7))
         assert sorted(face.restricted_support) == sorted(POLYGON_7)
         assert len(builds) == 1

@@ -148,6 +148,10 @@ class SmallField:
         self.p = p
         self.k = k
         self.modulus = _find_irreducible(p, k)
+        # the trace is F_p-linear, so Tr(t^i) for each basis element suffices
+        self._basis_traces = [
+            self._frobenius_trace(tuple(int(i == j) for i in range(k))) for j in range(k)
+        ]
 
     def elements(self):
         return [tuple(c) for c in itertools.product(range(self.p), repeat=self.k)]
@@ -175,7 +179,7 @@ class SmallField:
         inverse = self.power(x, self.p**self.k - 2)
         return self.power(inverse, -exponent)
 
-    def trace(self, a):
+    def _frobenius_trace(self, a):
         total = (0,) * self.k
         cur = a
         for _ in range(self.k):
@@ -183,6 +187,9 @@ class SmallField:
             cur = self.power(cur, self.p)
         assert all(c == 0 for c in total[1:]), "trace landed outside the prime field"
         return total[0]
+
+    def trace(self, a):
+        return sum(x * t for x, t in zip(a, self._basis_traces)) % self.p
 
 
 # ---------------------------------------------------------------------------

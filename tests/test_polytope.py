@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from npoly import catalog
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.errors import (
@@ -11,7 +14,7 @@ from npoly.errors import (
     IncomparablePolygons,
     NotFullDimensional,
 )
-from oracles import in_hull, lp_min_sum
+from oracles import in_hull, lp_min_sum, normalized_volume
 
 KLOOSTERMAN_2 = pt.Support(2, ((1, 0), (0, 1), (-1, -1)))
 
@@ -78,15 +81,52 @@ class TestBuild:
 
     def test_volume_is_computed_on_first_read_only(self, monkeypatch):
         volumes = []
-        volume = pt.normalized_volume
-        monkeypatch.setattr(pt, "normalized_volume",
-                            lambda p: volumes.append(p) or volume(p))
+        collapse = pt._greedy_collapse
+        monkeypatch.setattr(pt, "_greedy_collapse",
+                            lambda p, n: volumes.append(p) or collapse(p, n))
         poly = pt.build(KLOOSTERMAN_2)
         assert volumes == []
         assert poly.normalized_volume == 3
         assert len(volumes) == len(poly.facets_away_from_origin)
         assert poly.normalized_volume == 3
         assert len(volumes) == len(poly.facets_away_from_origin)
+
+
+@st.composite
+def small_supports(draw):
+    """Supports of 1 to 4 dimensions; with nonnegative coordinates the
+    origin is a vertex of the hull."""
+    n = draw(st.integers(1, 4))
+    lo = draw(st.sampled_from([-2, 0]))
+    coords = st.tuples(*[st.integers(lo, 2)] * n).filter(any)
+    pts = draw(st.lists(coords, min_size=n, max_size=n + 4, unique=True))
+    assume(xm.rational_rank(pts) == n)
+    return pt.Support(n, tuple(pts))
+
+
+class TestVolumeAgainstPulling:
+    """The volume from the collapse of each facet's vertices against the
+    pulling triangulation of the whole hull."""
+
+    @given(small_supports())
+    @settings(max_examples=150, deadline=None)
+    def test_random_supports(self, support):
+        hull = list(support.points) + [(0,) * support.dim]
+        assert pt.build(support).normalized_volume == normalized_volume(hull)
+
+    @pytest.mark.parametrize("name,params", [
+        ("box", {"dims": [2, 1, 2]}),
+        ("box", {"dims": [3, 1, 3]}),
+        ("box", {"dims": [2, 2, 2]}),
+        ("box", {"dims": [4, 4, 4]}),
+        ("box", {"dims": [3, 3]}),
+        ("dilated_simplex", {"n": 3, "d": 3, "D": 1}),
+        ("dilated_simplex", {"n": 2, "d": 4, "D": 3}),
+    ], ids=str)
+    def test_lattice_rich_families(self, name, params):
+        support = catalog.make(name, params).support
+        hull = list(support.points) + [(0,) * support.dim]
+        assert pt.build(support).normalized_volume == normalized_volume(hull)
 
 
 class TestWeight:
@@ -230,7 +270,7 @@ class TestLiesAbove:
 class TestGeometryToolkit:
     def test_triangulate_volume_square(self):
         square = [(0, 0), (2, 0), (0, 2), (2, 2)]
-        assert pt.normalized_volume(square) == 8
+        assert normalized_volume(square) == 8
 
     def test_hull_lattice_points(self):
         triangle = [(0, 0), (2, 0), (0, 2)]
@@ -246,7 +286,7 @@ class TestGeometryToolkit:
         pts = [(0, 0, 1), (2, 0, 1), (0, 2, 1)]
         chart = pt.AffineChart(pts)
         local = [chart.to_local(p) for p in pts]
-        assert pt.normalized_volume(local) == 4
+        assert normalized_volume(local) == 4
         assert [chart.from_local(q) for q in local] == pts
 
     def test_in_hull(self):

@@ -197,6 +197,26 @@ def test_diagonal_polygons_against_expanded_fractions(m, primes):
         assert_comparison_matches(hodge, newton, ref_hodge, ref_newton)
 
 
+@given(
+    square_matrices(max_n=3, lo=-4, hi=4)
+    .map(xm.IntMatrix.from_rows)
+    .filter(lambda m: 0 < abs(xm.determinant(m)) <= 200)
+)
+@settings(max_examples=80, deadline=None)
+def test_ordinary_classes_form_a_subgroup(m):
+    # if m1 and m2 each keep every norm fixed, so does m1*m2; residues are
+    # taken in 1..d_n, as `np scan` does
+    res = dg.ordinary_residues(dg.DiagonalSimplex.from_matrix(m))
+    dn = res.modulus
+    classes = set(res.classes)
+    assert (1 % dn or dn) in classes
+    for a in classes:
+        for b in classes:
+            assert (a * b % dn or dn) in classes
+    phi = sum(1 for u in range(1, dn + 1) if gcd(u, dn) == 1)
+    assert phi % len(classes) == 0
+
+
 def random_support(rng, n, extra):
     while True:
         count = n + extra
