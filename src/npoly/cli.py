@@ -61,23 +61,21 @@ def _as_int(value, what: str) -> int:
 
 
 def _fmt_int(x: int) -> str:
-    # only decompose reports need this: the other commands refuse, at a
-    # budget, any input whose report integers could outgrow the limit
-    if not polytope._prints(x):
-        raise DegenerateInput(
-            f"a {x.bit_length()}-bit integer is too long to print at stage render"
-        )
+    """str(x) for a report, refused at stage render past CPython's digit limit."""
+    if x.bit_length() > polytope._SHORT_BITS and not polytope._prints(x):
+        raise DegenerateInput(f"a {x.bit_length()}-bit integer is too long to print"
+                              " at stage render")
     return str(x)
 
 
-def _fmt_rational(x: Fraction, fmt_int=str) -> str:
+def _fmt_rational(x: Fraction) -> str:
     if x.denominator == 1:
-        return fmt_int(x.numerator)
-    return f"{fmt_int(x.numerator)}/{fmt_int(x.denominator)}"
+        return _fmt_int(x.numerator)
+    return f"{_fmt_int(x.numerator)}/{_fmt_int(x.denominator)}"
 
 
 def _fmt_point(p) -> list[str]:
-    return [str(int(c)) for c in p]
+    return [_fmt_int(int(c)) for c in p]
 
 
 def _fmt_polygon(poly: polytope.LowerPolygon) -> dict:
@@ -146,7 +144,7 @@ def resolve_support(doc: dict) -> tuple[polytope.Support, dict]:
         coefficients = doc["coefficients"]
         if not isinstance(coefficients, list):
             raise InputError("'coefficients' must be a list of integers")
-        echo["coefficients"] = [str(_as_int(c, "coefficient")) for c in coefficients]
+        echo["coefficients"] = [_fmt_int(_as_int(c, "coefficient")) for c in coefficients]
     return support, echo
 
 
@@ -174,18 +172,18 @@ def cmd_hodge(support: polytope.Support, echo: dict) -> dict:
         "command": "hodge",
         "input": echo,
         "dimension": support.dim,
-        "denominator": str(poly.denominator),
-        "normalized_volume": str(poly.normalized_volume),
+        "denominator": _fmt_int(poly.denominator),
+        "normalized_volume": _fmt_int(poly.normalized_volume),
         "facets": [
             {
                 "normal": [_fmt_rational(c) for c in f.normal],
-                "denominator": str(f.b),
+                "denominator": _fmt_int(f.b),
                 "support_indices": list(f.vertex_indices),
             }
             for f in poly.facets_away_from_origin
         ],
-        "weight_counts": {str(k): str(v) for k, v in sorted(data.W.items())},
-        "hodge_numbers": {str(k): str(v) for k, v in sorted(data.H.items())},
+        "weight_counts": {_fmt_int(k): _fmt_int(v) for k, v in sorted(data.W.items())},
+        "hodge_numbers": {_fmt_int(k): _fmt_int(v) for k, v in sorted(data.H.items())},
         "hodge_polygon": _fmt_polygon(data.polygon),
     }
 
@@ -201,10 +199,10 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
     return {
         "command": "diagonal",
         "input": echo,
-        "p": str(p),
-        "determinant": str(ds.det),
-        "invariant_factors": [str(d) for d in ds.invariant_factors],
-        "denominator": str(ds.denominator),
+        "p": _fmt_int(p),
+        "determinant": _fmt_int(ds.det),
+        "invariant_factors": [_fmt_int(d) for d in ds.invariant_factors],
+        "denominator": _fmt_int(ds.denominator),
         "orbits": [
             {
                 "representative": [_fmt_rational(x) for x in o.representative.r],
@@ -232,9 +230,9 @@ def cmd_ordinary_classes(support: polytope.Support, echo: dict) -> dict:
     return {
         "command": "ordinary-classes",
         "input": echo,
-        "largest_invariant_factor": str(res.modulus),
-        "classes": [str(c) for c in res.classes],
-        "mu": str(res.mu),
+        "largest_invariant_factor": _fmt_int(res.modulus),
+        "classes": [_fmt_int(c) for c in res.classes],
+        "mu": _fmt_int(res.mu),
         "density": _fmt_rational(res.density),
     }
 
@@ -256,7 +254,7 @@ def cmd_decompose(
     for i, (fp, collapse) in enumerate(faces):
         row = {
             "face": i,
-            "normal": [_fmt_rational(c, _fmt_int) for c in fp.facet.normal],
+            "normal": [_fmt_rational(c) for c in fp.facet.normal],
             "support_points": [_fmt_point(q) for q in fp.restricted_support],
             "diagonal": fp.is_diagonal,
         }
@@ -277,7 +275,7 @@ def cmd_decompose(
         "faces": face_rows,
     }
     if cert is not None:
-        report["p"] = str(p)
+        report["p"] = _fmt_int(p)
         report["certificate"] = {
             "certified": cert.certified,
             "dstar": _fmt_int(cert.dstar),
@@ -304,29 +302,29 @@ def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
     tested = 0
     for p in primes.primes_below(bound):
         if gcd(p, ds.group_order) != 1:
-            rows.append({"p": str(p), "residue": str(p % dn), "verdict": "excluded"})
+            rows.append({"p": _fmt_int(p), "residue": _fmt_int(p % dn), "verdict": "excluded"})
             continue
         verdict = (p % dn or dn) in classes
         tested += 1
         ordinary_count += int(verdict)
         rows.append(
             {
-                "p": str(p),
-                "residue": str(p % dn),
+                "p": _fmt_int(p),
+                "residue": _fmt_int(p % dn),
                 "verdict": "ordinary" if verdict else "non-ordinary",
             }
         )
     return {
         "command": "scan",
         "input": echo,
-        "bound": str(bound),
-        "largest_invariant_factor": str(dn),
+        "bound": _fmt_int(bound),
+        "largest_invariant_factor": _fmt_int(dn),
         "rows": rows,
         "summary": {
-            "tested": str(tested),
-            "ordinary": str(ordinary_count),
+            "tested": _fmt_int(tested),
+            "ordinary": _fmt_int(ordinary_count),
             "predicted_density": _fmt_rational(res.density),
-            "ordinary_classes": [str(c) for c in res.classes],
+            "ordinary_classes": [_fmt_int(c) for c in res.classes],
         },
     }
 

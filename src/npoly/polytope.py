@@ -27,12 +27,15 @@ LatticePoint = xm.LatticePoint
 # enumerate more elements than this.
 ENUMERATION_LIMIT = 5_000_000
 
+# CPython's limit on the decimal digits of str(int), read once (0: none);
+# below 2**(3 * limit) < 10**limit no power of ten is needed
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_SHORT_BITS = 3 * _DIGIT_LIMIT or sys.maxsize
+
 
 def _prints(x: int) -> bool:
     """Whether str(x) is within CPython's limit on decimal digits."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # below 2**(3 * limit) < 10**limit no power of ten is needed
-    return not limit or x.bit_length() <= 3 * limit or abs(x) < 10**limit
+    return x.bit_length() <= _SHORT_BITS or abs(x) < 10**_DIGIT_LIMIT
 
 
 def _count_text(x: int) -> str:

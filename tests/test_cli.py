@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npoly import catalog, cli, diagonal, exactmath, polytope
+from npoly.errors import NotCoprime
 from oracles import sweep_cone
 from test_catalog import CASES as CATALOG_CASES
 
@@ -359,28 +360,39 @@ class TestInputHandling:
 
     BIG = "1" + "0" * 3000  # its square has 6,001 digits, past CPython's 4,300
 
-    @pytest.mark.parametrize("support,command,message", [
-        ([[BIG, "0"], ["0", BIG]], ["hodge"],
+    @pytest.mark.parametrize("support,command,code,message", [
+        ([[BIG, "0"], ["0", BIG]], ["hodge"], 2,
          "enumeration box of <19934-bit number> points is too large at stage hodge"),
-        ([[BIG, "0"], ["0", BIG]], ["diagonal", "-p", "7"],
+        ([[BIG, "0"], ["0", BIG]], ["diagonal", "-p", "7"], 2,
          "group of order <19932-bit number> is too large at stage group"),
-        ([[BIG, "0"], ["0", BIG]], ["ordinary-classes"],
+        ([[BIG, "0"], ["0", BIG]], ["diagonal", "-p", "5"], 4,
+         "5 divides the group order <19932-bit number>"),
+        ([[BIG, "0"], ["0", BIG]], ["ordinary-classes"], 2,
          "group of order <19932-bit number> is too large at stage ordinary_residues"),
-        ([[BIG, "0"], ["0", BIG]], ["scan", "--bound", "30"],
+        ([[BIG, "0"], ["0", BIG]], ["scan", "--bound", "30"], 2,
          "group of order <19932-bit number> is too large at stage ordinary_residues"),
-        ([[BIG, "1"], ["1", BIG]], ["hodge"],
+        ([[BIG, "1"], ["1", BIG]], ["hodge"], 2,
          "enumeration box of <19934-bit number> points is too large at stage hodge"),
-        ([[BIG, "1"], ["1", BIG]], ["decompose"],
+        ([[BIG, "1"], ["1", BIG]], ["decompose"], 2,
          "a 19932-bit integer is too long to print at stage render"),
-    ], ids=["hodge", "diagonal", "ordinary-classes", "scan", "hodge-off", "decompose-off"])
-    def test_integers_too_long_to_print(self, tmp_path, capsys, support, command, message):
+    ], ids=["hodge", "diagonal", "diagonal-not-coprime", "ordinary-classes", "scan",
+            "hodge-off", "decompose-off"])
+    def test_integers_too_long_to_print(self, tmp_path, capsys, support, command, code,
+                                        message):
         path = write_doc(tmp_path, {"n": 2, "support": support})
         for fmt in sorted(cli.RENDERERS):
-            code, out, err = run_cli(capsys, command[:1] + [path] + command[1:]
-                                     + ["--format", fmt])
-            assert code == 2
+            got, out, err = run_cli(capsys, command[:1] + [path] + command[1:]
+                                    + ["--format", fmt])
+            assert got == code
             assert out == ""
             assert err == f"error: {message}\n"
+
+    def test_is_ordinary_prints_a_long_group_order(self):
+        # cmd_diagonal meets orbits' coprimality check first, so call it directly
+        big = int(self.BIG)
+        ds = diagonal.DiagonalSimplex.from_matrix(exactmath.IntMatrix(((big, 0), (0, big))))
+        with pytest.raises(NotCoprime, match=r"^5 divides the group order <19932-bit number>$"):
+            diagonal.is_ordinary(ds, 5)
 
     def test_box_refusal_names_its_stage(self, tmp_path, capsys):
         # the 3-fold dilation spans a box of 301**3 points
