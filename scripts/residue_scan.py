@@ -2,12 +2,18 @@
 """Sweep primes for a named family and compare the observed density of
 ordinary primes with the residue-class prediction.
 
+Each prime's `is_ordinary` verdict must agree with whether its residue mod
+d_n is one of `ordinary_residues`' classes; the script exits 1 and lists the
+primes where the two routes disagree.
+
 Examples:
     python scripts/residue_scan.py monomial d=6 --bound 2000
     python scripts/residue_scan.py four_dim D=2 k=2 --bound 2000
+    python scripts/residue_scan.py four_dim D=3 k=2 --bound 2000
 """
 
 import argparse
+import sys
 from math import gcd
 
 from npoly import catalog, diagonal
@@ -40,10 +46,14 @@ def main():
 
     per_class = {}
     tested = ordinary = 0
+    disagreements = []
     for p in primes_below(args.bound):
         if gcd(p, ds.group_order) != 1:
             continue
         verdict = diagonal.is_ordinary(ds, p).ordinary
+        # the classes list residues in 1..d_n
+        if verdict != ((p % res.modulus or res.modulus) in res.classes):
+            disagreements.append(p)
         tested += 1
         ordinary += verdict
         bucket = per_class.setdefault(p % res.modulus, [0, 0])
@@ -63,6 +73,9 @@ def main():
     print()
     print(f"overall: {ordinary}/{tested} = {ordinary / tested:.4f} "
           f"vs predicted {float(res.density):.4f}")
+    if disagreements:
+        print(f"is_ordinary disagrees with the residue classes at p = {disagreements}")
+        sys.exit(1)
 
 
 if __name__ == "__main__":

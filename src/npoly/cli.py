@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -47,6 +48,10 @@ class InputError(NpolyError):
     """Input document cannot be parsed or fails schema validation."""
 
 
+# the strings int(s, 10) accepts; it refuses them only past CPython's digit limit
+_DECIMAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _as_int(value, what: str) -> int:
     if isinstance(value, bool):
         raise InputError(f"{what} must be an integer")
@@ -56,7 +61,12 @@ def _as_int(value, what: str) -> int:
         try:
             return int(value, 10)
         except ValueError as exc:
-            raise InputError(f"{what} is not a decimal integer: {value!r}") from exc
+            if _DECIMAL.fullmatch(value):
+                raise InputError(
+                    f"{what} of {sum(map(str.isdecimal, value))} digits is past CPython's"
+                    f" {polytope._DIGIT_LIMIT}-digit limit at stage load") from exc
+            shown = value if len(value) <= 40 else value[:40] + "..."
+            raise InputError(f"{what} is not a decimal integer: {shown!r}") from exc
     raise InputError(f"{what} must be an integer or decimal string")
 
 
@@ -68,10 +78,16 @@ def _fmt_int(x: int) -> str:
     return str(x)
 
 
+def _fmt_quotient(num: int, den: int) -> str:
+    """num/den for den > 0, in lowest terms, without building a Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return _fmt_int(num // g)
+    return f"{_fmt_int(num // g)}/{_fmt_int(den // g)}"
+
+
 def _fmt_rational(x: Fraction) -> str:
-    if x.denominator == 1:
-        return _fmt_int(x.numerator)
-    return f"{_fmt_int(x.numerator)}/{_fmt_int(x.denominator)}"
+    return _fmt_quotient(x.numerator, x.denominator)
 
 
 def _fmt_point(p) -> list[str]:
@@ -82,9 +98,10 @@ def _fmt_polygon(poly: polytope.LowerPolygon) -> dict:
     slopes = []
     for s, m in poly.runs:
         slopes.extend([_fmt_rational(s)] * m)
+    scale, points = poly.scaled_vertices()
     return {
         "slopes": slopes,
-        "vertices": [[_fmt_rational(x), _fmt_rational(y)] for x, y in poly.vertices],
+        "vertices": [[_fmt_int(x), _fmt_quotient(y, scale)] for x, y in points],
     }
 
 
@@ -196,6 +213,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
     hp_poly = diagonal.hodge_polygon_diag(ds)
     verdict = diagonal.is_ordinary(ds, p)
     comparison = polytope.lies_above(np_poly, hp_poly)
+    dn = ds.largest_invariant_factor
     return {
         "command": "diagonal",
         "input": echo,
@@ -205,7 +223,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
         "denominator": _fmt_int(ds.denominator),
         "orbits": [
             {
-                "representative": [_fmt_rational(x) for x in o.representative.r],
+                "representative": [_fmt_quotient(x, dn) for x in o.representative.a],
                 "degree": o.degree,
                 "slope": _fmt_rational(o.slope),
             }
@@ -216,7 +234,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
         "ordinary": verdict.ordinary,
         "witness": None
         if verdict.witness is None
-        else [_fmt_rational(x) for x in verdict.witness.r],
+        else [_fmt_quotient(x, dn) for x in verdict.witness.a],
         "comparison": {
             "status": comparison.status.value,
             "endpoints_coincide": comparison.endpoints_coincide,

@@ -12,11 +12,12 @@ equivalent to the valuations meeting their combinatorial lower bound.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from typing import NamedTuple
 
 from . import exactmath as xm
 from . import polytope as pt
@@ -137,34 +138,84 @@ class DiagonalSimplex:
 
     @cached_property
     def group(self) -> tuple[GroupElement, ...]:
-        """All solutions r = a/d_n of M*r = 0 (mod 1) in [0,1)^n, sorted.
+        """All solutions r = a/d_n of M*r = 0 (mod 1) in [0,1)^n, sorted by (norm, a)."""
+        table = self._table
+        dn = table.modulus
+        return tuple(GroupElement(table.vectors[k], dn) for k in table.order)
 
-        Enumerated through the Smith decomposition: with P*M*Q diagonal, the
-        solutions are exactly the fractional parts of Q*s for s ranging over
-        products of the cyclic factors, so a = sum_j c_j*(d_n/d_j)*Q[:, j]
-        mod d_n with 0 <= c_j < d_j. Refused before allocating when the
-        order exceeds the enumeration budget.
+    @cached_property
+    def _table(self) -> _GroupTable:
+        """The group as integers, indexed by Smith coordinates.
+
+        With P*M*Q diagonal, the solutions are exactly the fractional parts of
+        Q*s for s ranging over products of the cyclic factors, so element k,
+        whose Smith coordinates c_j (0 <= c_j < d_j, d_j > 1) are the digits of
+        k in mixed radix with the last factor d_n least significant, is
+        a = sum_j c_j*(d_n/d_j)*Q[:, j] mod d_n. Refused before allocating when
+        the order exceeds the enumeration budget.
         """
         _check_order(self, "group")
         dn = self.largest_invariant_factor
-        vectors = [(0,) * self.dim]
-        for d, column in zip(self.snf.diag, self.snf.Q.columns()):
+        radices = []
+        columns = [[0] for _ in range(self.dim)]
+        for d, q in zip(self.snf.diag, self.snf.Q.columns()):
             if d == 1:
                 continue
-            step = [c * (dn // d) % dn for c in column]
-            grown = []
-            for a in vectors:
-                for _ in range(d):
-                    grown.append(a)
-                    a = tuple([(x + y) % dn for x, y in zip(a, step)])
-            vectors = grown
+            radices.append(d)
+            for i, c in enumerate(q):
+                offsets = [c * (dn // d) * j % dn for j in range(d)]
+                columns[i] = [(x + y) % dn for x in columns[i] for y in offsets]
+        vectors = list(zip(*columns))
         if len(set(vectors)) != self.group_order:
             raise BrokenInvariant("group elements are not distinct")
         for row in self.matrix.entries:
-            if any(sum(map(mul, row, a)) % dn for a in vectors):
+            dots = map(sum, zip(*[map(x.__mul__, col) for x, col in zip(row, columns)]))
+            if any(map(dn.__rmod__, dots)):
                 raise BrokenInvariant("a group element does not solve M*r = 0 (mod 1)")
-        vectors.sort(key=lambda a: (sum(a), a))
-        return tuple(GroupElement(a, dn) for a in vectors)
+        norms = list(map(sum, vectors))
+        order = [k for _, _, k in sorted(zip(norms, vectors, range(len(vectors))))]
+        return _GroupTable(dn, tuple(radices), vectors, norms, order)
+
+
+class _GroupTable(NamedTuple):
+    """Element k of the group is vectors[k], of norm norms[k]/modulus; order
+    lists the indices sorted by (norm, a).
+
+    Multiplication by m acts on the Smith coordinates as c_j -> m*c_j mod d_j,
+    so it is a map on indices, k -> m*k mod d_n when the group is cyclic.
+    """
+
+    modulus: int
+    radices: tuple[int, ...]
+    vectors: list[tuple[int, ...]]
+    norms: list[int]
+    order: list[int]
+
+    def image(self, k: int, m: int) -> int:
+        """Index of m*a_k mod d_n."""
+        out, place = 0, 1
+        for d in reversed(self.radices):
+            k, c = divmod(k, d)
+            out += m * c % d * place
+            place *= d
+        return out
+
+    def permutation(self, m: int) -> list[int]:
+        """image(k, m) for every index k, built a Smith coordinate at a time."""
+        perm = [0]
+        for d in self.radices:
+            digits = [m * c % d for c in range(d)]
+            perm = [x * d + y for x in perm for y in digits]
+        return perm
+
+    def keeps_norms(self, m: int) -> bool:
+        """Whether m*a has the norm of a for every element, walked in (norm, a)
+        order so that an unstable m stops after a few elements."""
+        norms = self.norms
+        if len(self.radices) < 2:
+            dn = self.modulus
+            return all(norms[m * k % dn] == norms[k] for k in self.order)
+        return all(norms[self.image(k, m)] == norms[k] for k in self.order)
 
 
 def _check_order(ds: DiagonalSimplex, stage: str) -> None:
@@ -200,31 +251,34 @@ def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
     """Partition of the group under a -> p*a mod d_n, sorted by (slope, representative)."""
     if gcd(p, ds.group_order) != 1:
         raise NotCoprime(f"{p} divides the group order {pt._count_text(ds.group_order)}")
-    dn = ds.largest_invariant_factor
-    remaining = {e.a: e for e in ds.group}
+    table = ds._table
+    dn, vectors, norms = table.modulus, table.vectors, table.norms
+    image = table.permutation(p)
+    seen = bytearray(len(image))
     found = []
-    for e in ds.group:
-        if e.a not in remaining:
+    for k in table.order:
+        if seen[k]:
             continue
         members = []
-        cur = e.a
-        while cur in remaining:
-            members.append(remaining.pop(cur))
-            cur = tuple([p * x % dn for x in cur])
-        if len(members) != m_degree(members[0], p):
+        while not seen[k]:
+            seen[k] = 1
+            members.append(k)
+            k = image[k]
+        elements = tuple([GroupElement(vectors[j], dn) for j in members])
+        if len(elements) != m_degree(elements[0], p):
             raise BrokenInvariant("orbit size differs from the order of p")
-        found.append((sum(sum(m.a) for m in members), members))
+        found.append((sum(map(norms.__getitem__, members)), elements))
     # slope = total/(d_n*degree); scaling by d_n*lcm(degrees) sorts in integers
-    scale = lcm(*(len(members) for _, members in found))
-    found.sort(key=lambda tm: (tm[0] * (scale // len(tm[1])), tm[1][0].a))
+    scale = lcm(*(len(elements) for _, elements in found))
+    found.sort(key=lambda te: (te[0] * (scale // len(te[1])), te[1][0].a))
     return tuple(
         Orbit(
-            representative=members[0],
-            members=tuple(members),
-            degree=len(members),
-            slope=Fraction(total, dn * len(members)),
+            representative=elements[0],
+            members=elements,
+            degree=len(elements),
+            slope=Fraction(total, dn * len(elements)),
         )
-        for total, members in found
+        for total, elements in found
     )
 
 
@@ -280,13 +334,15 @@ def newton_polygon_diag(ds: DiagonalSimplex, p: int) -> pt.LowerPolygon:
 
 def hodge_counts_diag(ds: DiagonalSimplex) -> dict[int, int]:
     """H(k) from the group directly: elements of norm k/D, no box scan."""
+    table = ds._table
     d = ds.denominator
     counts: dict[int, int] = {}
-    for e in ds.group:
-        k, rest = divmod(sum(e.a) * d, e.modulus)
+    # every element's norm is one of the keys, so each element is checked
+    for norm, count in sorted(Counter(table.norms).items()):
+        k, rest = divmod(norm * d, table.modulus)
         if rest:
             raise BrokenInvariant("element norm is not a multiple of 1/D")
-        counts[k] = counts.get(k, 0) + 1
+        counts[k] = count
     return counts
 
 
@@ -297,18 +353,18 @@ def hodge_polygon_diag(ds: DiagonalSimplex) -> pt.LowerPolygon:
     return pt.LowerPolygon.from_runs((Fraction(k, d), counts[k]) for k in sorted(counts))
 
 
-def _norm_stable(element: GroupElement, m: int) -> bool:
-    d = element.modulus
-    return sum(m * x % d for x in element.a) == sum(element.a)
-
-
 def is_ordinary(ds: DiagonalSimplex, p: int) -> OrdinaryVerdict:
     """Norm stability under the p-action, with the first violator as witness."""
     if gcd(p, ds.group_order) != 1:
         raise NotCoprime(f"{p} divides the group order {pt._count_text(ds.group_order)}")
-    for e in ds.group:
-        if not _norm_stable(e, p):
-            return OrdinaryVerdict(False, e)
+    # p acts on the coordinates here and on the Smith coordinates in
+    # ordinary_residues: two routes that must give the same verdicts
+    table = ds._table
+    dn = table.modulus
+    for k in table.order:
+        a = table.vectors[k]
+        if sum([p * x % dn for x in a]) != table.norms[k]:
+            return OrdinaryVerdict(False, GroupElement(a, dn))
     return OrdinaryVerdict(True, None)
 
 
@@ -320,9 +376,10 @@ def ordinary_residues(ds: DiagonalSimplex) -> ResidueClassification:
     to det M acts exactly as p mod d_n does.
     """
     _check_order(ds, "ordinary_residues")
-    dn = ds.largest_invariant_factor
+    table = ds._table
+    dn = table.modulus
     units = [m for m in range(1, dn + 1) if gcd(m, dn) == 1]
-    stable = tuple(m for m in units if all(_norm_stable(e, m) for e in ds.group))
+    stable = tuple(m for m in units if table.keeps_norms(m))
     return ResidueClassification(dn, stable, len(stable), Fraction(len(stable), len(units)))
 
 

@@ -410,12 +410,17 @@ class LowerPolygon:
         """Abscissae of the vertices: 0 and the running sums of the multiplicities."""
         return list(itertools.accumulate((m for _, m in self.runs), initial=0))
 
-    @property
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+    def scaled_vertices(self) -> tuple[int, list[tuple[int, int]]]:
+        """(scale, [(x, scale*y), ...]): the vertices in integers, scale the
+        lcm of the slope denominators."""
         scale = lcm(*(s.denominator for s, _ in self.runs))
         xs = self._abscissae()
-        heights = _scaled_heights(self, scale, xs)
-        return tuple((Fraction(x), Fraction(y, scale)) for x, y in zip(xs, heights))
+        return scale, list(zip(xs, _scaled_heights(self, scale, xs)))
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        scale, points = self.scaled_vertices()
+        return tuple((Fraction(x), Fraction(y, scale)) for x, y in points)
 
     @property
     def endpoint(self) -> tuple[Fraction, Fraction]:

@@ -12,16 +12,22 @@ same data another way and are used only by the tests:
 - `in_hull`: hull membership from those facets;
 - `lp_min_sum`: the exact linear program over basic solutions;
 - `triangulate` and `normalized_volume`: the pulling triangulation and the
-  volume it gives, against the library's volume from the collapse.
+  volume it gives, against the library's volume from the collapse;
+- `group`, `orbits`, `is_ordinary`, `ordinary_residues` and
+  `hodge_counts_diag`: the diagonal group as sorted `GroupElement`s and the
+  p-action as one tuple per element per step, against the library's integer
+  table indexed by Smith coordinates.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
+from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
-from npoly.errors import DegenerateInput
+from npoly.errors import BrokenInvariant, DegenerateInput, NotCoprime
 
 
 def sweep_extreme_rays(rows):
@@ -163,3 +169,109 @@ def normalized_volume(points) -> int:
         m = xm.IntMatrix.from_columns([pt._sub(p, simplex[0]) for p in simplex[1:]])
         total += abs(xm.determinant(m))
     return total
+
+
+def group(ds):
+    """All solutions r = a/d_n of M*r = 0 (mod 1) in [0,1)^n, sorted.
+
+    Enumerated through the Smith decomposition: with P*M*Q diagonal, the
+    solutions are exactly the fractional parts of Q*s for s ranging over
+    products of the cyclic factors, so a = sum_j c_j*(d_n/d_j)*Q[:, j]
+    mod d_n with 0 <= c_j < d_j. Refused before allocating when the
+    order exceeds the enumeration budget.
+    """
+    dg._check_order(ds, "group")
+    dn = ds.largest_invariant_factor
+    vectors = [(0,) * ds.dim]
+    for d, column in zip(ds.snf.diag, ds.snf.Q.columns()):
+        if d == 1:
+            continue
+        step = [c * (dn // d) % dn for c in column]
+        grown = []
+        for a in vectors:
+            for _ in range(d):
+                grown.append(a)
+                a = tuple([(x + y) % dn for x, y in zip(a, step)])
+        vectors = grown
+    if len(set(vectors)) != ds.group_order:
+        raise BrokenInvariant("group elements are not distinct")
+    for row in ds.matrix.entries:
+        if any(sum(map(mul, row, a)) % dn for a in vectors):
+            raise BrokenInvariant("a group element does not solve M*r = 0 (mod 1)")
+    vectors.sort(key=lambda a: (sum(a), a))
+    return tuple(dg.GroupElement(a, dn) for a in vectors)
+
+
+def orbits(ds, p):
+    """Partition of the group under a -> p*a mod d_n, sorted by (slope, representative)."""
+    if gcd(p, ds.group_order) != 1:
+        raise NotCoprime(f"{p} divides the group order {pt._count_text(ds.group_order)}")
+    dn = ds.largest_invariant_factor
+    elements = group(ds)
+    remaining = {e.a: e for e in elements}
+    found = []
+    for e in elements:
+        if e.a not in remaining:
+            continue
+        members = []
+        cur = e.a
+        while cur in remaining:
+            members.append(remaining.pop(cur))
+            cur = tuple([p * x % dn for x in cur])
+        if len(members) != dg.m_degree(members[0], p):
+            raise BrokenInvariant("orbit size differs from the order of p")
+        found.append((sum(sum(m.a) for m in members), members))
+    # slope = total/(d_n*degree); scaling by d_n*lcm(degrees) sorts in integers
+    scale = lcm(*(len(members) for _, members in found))
+    found.sort(key=lambda tm: (tm[0] * (scale // len(tm[1])), tm[1][0].a))
+    return tuple(
+        dg.Orbit(
+            representative=members[0],
+            members=tuple(members),
+            degree=len(members),
+            slope=Fraction(total, dn * len(members)),
+        )
+        for total, members in found
+    )
+
+
+def hodge_counts_diag(ds):
+    """H(k) from the group directly: elements of norm k/D, no box scan."""
+    d = ds.denominator
+    counts = {}
+    for e in group(ds):
+        k, rest = divmod(sum(e.a) * d, e.modulus)
+        if rest:
+            raise BrokenInvariant("element norm is not a multiple of 1/D")
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def _norm_stable(element, m):
+    d = element.modulus
+    return sum(m * x % d for x in element.a) == sum(element.a)
+
+
+def is_ordinary(ds, p):
+    """Norm stability under the p-action, with the first violator as witness."""
+    if gcd(p, ds.group_order) != 1:
+        raise NotCoprime(f"{p} divides the group order {pt._count_text(ds.group_order)}")
+    for e in group(ds):
+        if not _norm_stable(e, p):
+            return dg.OrdinaryVerdict(False, e)
+    return dg.OrdinaryVerdict(True, None)
+
+
+def ordinary_residues(ds):
+    """Residues mod d_n whose action is norm-stable.
+
+    Stability under one application suffices: the action is a bijection, so a
+    single stable step propagates along the whole orbit. Any prime p coprime
+    to det M acts exactly as p mod d_n does.
+    """
+    dg._check_order(ds, "ordinary_residues")
+    dn = ds.largest_invariant_factor
+    elements = group(ds)
+    units = [m for m in range(1, dn + 1) if gcd(m, dn) == 1]
+    stable = tuple(m for m in units if all(_norm_stable(e, m) for e in elements))
+    return dg.ResidueClassification(dn, stable, len(stable), Fraction(len(stable), len(units)))

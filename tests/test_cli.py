@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 from math import gcd
 
@@ -387,6 +388,28 @@ class TestInputHandling:
             assert out == ""
             assert err == f"error: {message}\n"
 
+    LONG = "1" + "0" * 5000  # a valid decimal integer that int() refuses to parse
+
+    @pytest.mark.skipif(not polytope._DIGIT_LIMIT, reason="no integer digit limit")
+    @pytest.mark.parametrize("doc,what", [
+        ({"n": 1, "support": [[LONG]]}, "coordinate"),
+        ({"family": {"name": "monomial", "parameters": {"d": LONG}}}, "parameter d"),
+    ], ids=["coordinate", "family-parameter"])
+    def test_decimal_string_past_the_digit_limit(self, tmp_path, capsys, doc, what):
+        path = write_doc(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["hodge", path])
+        assert code == 5
+        assert out == ""
+        assert err == (f"error: {what} of 5001 digits is past CPython's"
+                       f" {polytope._DIGIT_LIMIT}-digit limit at stage load\n")
+
+    def test_long_non_decimal_string_is_echoed_in_part(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {"n": 1, "support": [["x" * 5000]]})
+        code, out, err = run_cli(capsys, ["hodge", path])
+        assert code == 5
+        assert out == ""
+        assert err == f"error: coordinate is not a decimal integer: '{'x' * 40}...'\n"
+
     def test_is_ordinary_prints_a_long_group_order(self):
         # cmd_diagonal meets orbits' coprimality check first, so call it directly
         big = int(self.BIG)
@@ -582,3 +605,42 @@ def test_reports_match_subset_sweep_on_lattice_rich_box(tmp_path, capsys, monkey
     monkeypatch.setattr(polytope, "_extreme_rays", sweep_cone)
     assert run_cli(capsys, command + [path]) == fast
     assert fast[0] == 0
+
+
+# sha256 of each report as the tuple-walking group code (now tests/oracles.py)
+# rendered it: the Z/3 x Z/9 group of four_dim D=3 k=2 and a cyclic group of
+# order 74 with three ordinary classes, through every diagonal command and format
+PINNED_DOCS = {
+    "four_dim_3_2": {"family": {"name": "four_dim", "parameters": {"D": 3, "k": 2}}},
+    "cyclic_74": {"n": 3, "support": [[-2, 2, 1], [5, 2, -2], [1, 2, 5]]},
+}
+PINNED_OPTIONS = {"diagonal": ["-p", "7"], "ordinary-classes": [], "scan": ["--bound", "500"]}
+PINNED_REPORTS = {
+    ("four_dim_3_2", "diagonal", "json"): "ed5e798f318222ea91577757fe7d5200ceb9231cf0bd0f3ff8d02b951898141a",
+    ("four_dim_3_2", "diagonal", "text"): "8da220e0f2634665a4223bf93d90ffc90c7c1f7b92adf5cf1aa9d4a2908dc60a",
+    ("four_dim_3_2", "diagonal", "csv"): "844109f2645aadc156bee3ab0ac682a8f5101013c7343e76be52c51bb04208b6",
+    ("four_dim_3_2", "ordinary-classes", "json"): "44c5990b7da821c945f75259b82981415a2ed54ec4b70ecb95bbd9ec3f33a817",
+    ("four_dim_3_2", "ordinary-classes", "text"): "e48b209fa5eb061642b821c8db6cf1e8c713455ee8c9e0012bf4fa089adffdab",
+    ("four_dim_3_2", "ordinary-classes", "csv"): "1492c386d19c0c834638d6c5869937d345ede13d583f4efe0415bf4f45d37b57",
+    ("four_dim_3_2", "scan", "json"): "871ed70d048af384c1b3ae9a1b282408809f7807b87993a2c2082bab923627fb",
+    ("four_dim_3_2", "scan", "text"): "931af47d3753ea594ae67c4993acd6ce0dfda69574d7c0a8a5a3d1aefc931ae0",
+    ("four_dim_3_2", "scan", "csv"): "3a26395af832a6ebb94689f539bbac01f58a9e380469881742bb6f5e34348443",
+    ("cyclic_74", "diagonal", "json"): "ced5f9fac7168ff18f5dfb6f059e10b58fac6af3b14920cc210f7d454a4a6cad",
+    ("cyclic_74", "diagonal", "text"): "410b68b93dd1790051f86a05a8f52b512f8f6debef28cc9c7fd5271e6a40467d",
+    ("cyclic_74", "diagonal", "csv"): "6bca1bd1b45e1be5c28e833c9c0390fa939d0d74140555a7a04dd9465ea7e7a2",
+    ("cyclic_74", "ordinary-classes", "json"): "2c926540d3937d43ae1bb7632a968db9fe5f2b34921ee3208570ee9098720d02",
+    ("cyclic_74", "ordinary-classes", "text"): "f0b764b0205eb02dd9fb8a446f955828f38e0e06414ace233b77e00e325c4507",
+    ("cyclic_74", "ordinary-classes", "csv"): "554dcc75331e6531f47e54536d37e021a871d76dda23c533dab424ad8b3057ab",
+    ("cyclic_74", "scan", "json"): "fec7d3b1682c1846ff05a3d3d357074af17bd91308298548a6f6913f7da9a795",
+    ("cyclic_74", "scan", "text"): "dc366452251a4cd810ee9d9fcd6bdd80d82ad2ac85f0e6ccbeec6fe701fcce25",
+    ("cyclic_74", "scan", "csv"): "5f6c0f84370038c4efd9317abc1a458fd50b63df9c8c88cdaa7a12adde32975b",
+}
+
+
+@pytest.mark.parametrize("doc,command,fmt", sorted(PINNED_REPORTS))
+def test_group_reports_match_pinned_digests(tmp_path, capsys, doc, command, fmt):
+    path = write_doc(tmp_path, PINNED_DOCS[doc])
+    code, out, err = run_cli(capsys, [command, path, *PINNED_OPTIONS[command],
+                                      "--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[doc, command, fmt]
