@@ -98,7 +98,7 @@ def _fmt_polygon(poly: polytope.LowerPolygon) -> dict:
     slopes = []
     for s, m in poly.runs:
         slopes.extend([_fmt_rational(s)] * m)
-    scale, points = poly.scaled_vertices()
+    scale, points = poly._scaled_vertices()
     return {
         "slopes": slopes,
         "vertices": [[_fmt_int(x), _fmt_quotient(y, scale)] for x, y in points],

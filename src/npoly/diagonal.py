@@ -212,9 +212,6 @@ class _GroupTable(NamedTuple):
         """Whether m*a has the norm of a for every element, walked in (norm, a)
         order so that an unstable m stops after a few elements."""
         norms = self.norms
-        if len(self.radices) < 2:
-            dn = self.modulus
-            return all(norms[m * k % dn] == norms[k] for k in self.order)
         return all(norms[self.image(k, m)] == norms[k] for k in self.order)
 
 

@@ -410,7 +410,7 @@ class LowerPolygon:
         """Abscissae of the vertices: 0 and the running sums of the multiplicities."""
         return list(itertools.accumulate((m for _, m in self.runs), initial=0))
 
-    def scaled_vertices(self) -> tuple[int, list[tuple[int, int]]]:
+    def _scaled_vertices(self) -> tuple[int, list[tuple[int, int]]]:
         """(scale, [(x, scale*y), ...]): the vertices in integers, scale the
         lcm of the slope denominators."""
         scale = lcm(*(s.denominator for s, _ in self.runs))
@@ -419,7 +419,7 @@ class LowerPolygon:
 
     @property
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        scale, points = self.scaled_vertices()
+        scale, points = self._scaled_vertices()
         return tuple((Fraction(x), Fraction(y, scale)) for x, y in points)
 
     @property
