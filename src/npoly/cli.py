@@ -95,10 +95,10 @@ def _fmt_point(p) -> list[str]:
 
 
 def _fmt_polygon(poly: polytope.LowerPolygon) -> dict:
-    slopes = []
-    for s, m in poly.runs:
-        slopes.extend([_fmt_rational(s)] * m)
     scale, points = poly._scaled_vertices()
+    slopes = []
+    for s, m in poly.steps:
+        slopes.extend([_fmt_quotient(s, scale)] * m)
     return {
         "slopes": slopes,
         "vertices": [[_fmt_int(x), _fmt_quotient(y, scale)] for x, y in points],
@@ -351,8 +351,48 @@ def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
 # rendering
 
 
+_QUOTE = json.encoder.encode_basestring_ascii
+
+
+def _json(value, indent: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for a report tree whose
+    current line is indented by indent, each container joined in one pass.
+
+    Reports hold strings, integers, booleans, None, lists, tuples and dicts
+    with string keys; anything else, floats included, is a bug."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        try:  # a list of strings is escaped and joined in C
+            body = (",\n" + inner).join(map(_QUOTE, value))
+        except TypeError:
+            body = (",\n" + inner).join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, str):
+        return _QUOTE(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise BrokenInvariant("a report key is not a string at stage render")
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            [f"{_QUOTE(key)}: {_json(value[key], inner)}" for key in sorted(value)])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise BrokenInvariant(f"a report holds a {type(value).__name__} at stage render")
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json(report, "") + "\n"
 
 
 def _table(header, rows) -> list[str]:
@@ -536,7 +576,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = run(args)
+        text = RENDERERS[args.format](run(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -552,7 +592,7 @@ def main(argv=None) -> int:
     except (NotFullDimensional, DegenerateInput, IncomparablePolygons) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    sys.stdout.write(RENDERERS[args.format](report))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

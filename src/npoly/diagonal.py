@@ -347,7 +347,7 @@ def hodge_polygon_diag(ds: DiagonalSimplex) -> pt.LowerPolygon:
     """Slope multiset of the norms: one run per distinct norm k/D."""
     d = ds.denominator
     counts = hodge_counts_diag(ds)
-    return pt.LowerPolygon.from_runs((Fraction(k, d), counts[k]) for k in sorted(counts))
+    return pt.LowerPolygon._from_scaled(d, [(k, counts[k]) for k in sorted(counts)])
 
 
 def is_ordinary(ds: DiagonalSimplex, p: int) -> OrdinaryVerdict:

@@ -335,46 +335,75 @@ class Facet:
         return tuple(Fraction(c, self.b) for c in self.a)
 
 
-def _merge_runs(pairs) -> tuple[tuple[Fraction, int], ...]:
-    """Canonical runs of (slope, multiplicity) pairs with non-decreasing slopes."""
-    runs: list[tuple[Fraction, int]] = []
+def _scaled_runs(pairs) -> tuple[int, list[tuple[int, int]]]:
+    """(scale, [(scale*slope, multiplicity), ...]) for rational slopes, scale the
+    lcm of their denominators. Pairs of multiplicity zero drop out; a negative
+    one keeps its place, with slope 0, so that _merge_runs refuses the first
+    fault in order."""
+    runs = [(s if isinstance(s, Fraction) else Fraction(s), m) if m > 0 else (0, m)
+            for s, m in pairs if m]
+    scale = lcm(*(s.denominator for s, _ in runs))
+    return scale, [(s.numerator * (scale // s.denominator), m) for s, m in runs]
+
+
+def _merge_runs(pairs) -> tuple[tuple[int, int], ...]:
+    """Canonical runs of (step, multiplicity) pairs with non-decreasing integer steps."""
+    runs: list[tuple[int, int]] = []
+    last = None
     for s, m in pairs:
         if m < 0:
             raise DegenerateInput("multiplicities must be non-negative")
         if not m:
             continue
-        if not isinstance(s, Fraction):
-            s = Fraction(s)
-        if runs and s <= runs[-1][0]:
-            if s != runs[-1][0]:
+        if runs and s <= last:
+            if s != last:
                 raise DegenerateInput("slopes must be non-decreasing")
             runs[-1] = (s, runs[-1][1] + m)
         else:
             runs.append((s, m))
+            last = s
     return tuple(runs)
 
 
 @dataclass(frozen=True, init=False)
 class LowerPolygon:
-    """Lower-convex polygon through (0,0), stored as its slope runs.
+    """Lower-convex polygon through (0,0), stored as integer slope runs.
 
-    runs = ((slope, multiplicity), ...) with strictly increasing slopes and
-    positive multiplicities. The slope multiset, the vertex list and the
-    cumulative sums are derived views; equality compares the runs.
+    steps = ((scale*slope, multiplicity), ...) with strictly increasing slopes
+    and positive multiplicities, scale the lcm of the reduced slope
+    denominators; so scale and the step numerators share no factor, and
+    equality and hashing compare the polygon exactly. The (slope,
+    multiplicity) runs, the slope multiset, the vertex list and the
+    cumulative sums are derived views.
     """
 
-    runs: tuple[tuple[Fraction, int], ...]
+    scale: int
+    steps: tuple[tuple[int, int], ...]
 
     def __init__(self, slopes=()):
-        object.__setattr__(self, "runs", _merge_runs((s, 1) for s in slopes))
+        self._assign(*_scaled_runs((s, 1) for s in slopes))
+
+    def _assign(self, scale: int, pairs) -> None:
+        steps = _merge_runs(pairs)
+        g = gcd(scale, *(s for s, _ in steps))
+        if g > 1:
+            scale, steps = scale // g, tuple((s // g, m) for s, m in steps)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "steps", steps)
+
+    @classmethod
+    def _from_scaled(cls, scale: int, pairs) -> "LowerPolygon":
+        """Polygon from (scale*slope, multiplicity) pairs with non-decreasing
+        integer steps over a positive scale, without building a Fraction."""
+        poly = cls.__new__(cls)
+        poly._assign(scale, pairs)
+        return poly
 
     @classmethod
     def from_runs(cls, runs) -> "LowerPolygon":
         """Polygon from (slope, multiplicity) pairs with non-decreasing slopes;
         equal slopes merge and zero multiplicities drop out."""
-        poly = cls()
-        object.__setattr__(poly, "runs", _merge_runs(runs))
-        return poly
+        return cls._from_scaled(*_scaled_runs(runs))
 
     @classmethod
     def from_slopes(cls, slopes) -> "LowerPolygon":
@@ -396,26 +425,29 @@ class LowerPolygon:
         return cls.from_runs(sorted(runs))
 
     @property
+    def runs(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple((Fraction(s, self.scale), m) for s, m in self.steps)
+
+    @property
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(s for s, m in self.runs for _ in range(m))
 
     @property
     def length(self) -> int:
-        return sum(m for _, m in self.runs)
+        return sum(m for _, m in self.steps)
 
     def cumulative(self) -> tuple[Fraction, ...]:
         return tuple(itertools.accumulate(self.slopes, initial=Fraction(0)))
 
     def _abscissae(self) -> list[int]:
         """Abscissae of the vertices: 0 and the running sums of the multiplicities."""
-        return list(itertools.accumulate((m for _, m in self.runs), initial=0))
+        return list(itertools.accumulate((m for _, m in self.steps), initial=0))
 
     def _scaled_vertices(self) -> tuple[int, list[tuple[int, int]]]:
-        """(scale, [(x, scale*y), ...]): the vertices in integers, scale the
-        lcm of the slope denominators."""
-        scale = lcm(*(s.denominator for s, _ in self.runs))
-        xs = self._abscissae()
-        return scale, list(zip(xs, _scaled_heights(self, scale, xs)))
+        """(scale, [(x, scale*y), ...]): the vertices in integers, the heights
+        the running sums of the steps times their multiplicities."""
+        heights = itertools.accumulate((s * m for s, m in self.steps), initial=0)
+        return self.scale, list(zip(self._abscissae(), heights))
 
     @property
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -443,13 +475,14 @@ class PolygonComparison:
 def _scaled_heights(poly: LowerPolygon, scale: int, xs) -> list[int]:
     """scale times the cumulative slope sum of poly at each sorted integer in xs."""
     out = []
-    runs = iter(poly.runs)
+    factor = scale // poly.scale
+    steps = iter(poly.steps)
     x = y = step = m = 0
     for t in xs:
         while x + m < t:
             x, y = x + m, y + step * m
-            s, m = next(runs)
-            step = s.numerator * (scale // s.denominator)
+            s, m = next(steps)
+            step = s * factor
         out.append(y + step * (t - x))
     return out
 
@@ -459,7 +492,7 @@ def lies_above(upper: LowerPolygon, lower: LowerPolygon) -> PolygonComparison:
 
     Both polygons have breakpoints only at integer abscissae, so comparing
     the cumulative slope sums at every integer decides the order everywhere.
-    The sums are integers scaled by the lcm of the slope denominators, and
+    The sums are integers scaled by the lcm of the two polygons' scales, and
     between consecutive breakpoints of either polygon their difference is
     linear, so the breakpoints decide the status and the first violating
     integer inside a segment comes from one division.
@@ -468,7 +501,7 @@ def lies_above(upper: LowerPolygon, lower: LowerPolygon) -> PolygonComparison:
         raise IncomparablePolygons(
             f"polygon lengths differ: {upper.length} vs {lower.length}"
         )
-    scale = lcm(*(s.denominator for s, _ in upper.runs + lower.runs))
+    scale = lcm(upper.scale, lower.scale)
     xs = sorted(set(upper._abscissae()) | set(lower._abscissae()))
     hu = _scaled_heights(upper, scale, xs)
     hl = _scaled_heights(lower, scale, xs)
@@ -590,8 +623,8 @@ class NewtonPolyhedron:
             h_counts[k] = h
         if sum(h_counts.values()) != self.normalized_volume:
             raise BrokenInvariant("Hodge numbers do not sum to the normalized volume")
-        runs = ((Fraction(k, d), h) for k, h in h_counts.items())
-        self._hodge = HodgeData(w_counts, h_counts, LowerPolygon.from_runs(runs))
+        polygon = LowerPolygon._from_scaled(d, h_counts.items())
+        self._hodge = HodgeData(w_counts, h_counts, polygon)
         return self._hodge
 
     def hodge_polygon(self) -> LowerPolygon:

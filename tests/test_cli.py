@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npoly import catalog, cli, diagonal, exactmath, polytope
-from npoly.errors import NotCoprime
+from npoly.errors import BrokenInvariant, NotCoprime
 from oracles import sweep_cone
 from test_catalog import CASES as CATALOG_CASES
 
@@ -644,3 +644,117 @@ def test_group_reports_match_pinned_digests(tmp_path, capsys, doc, command, fmt)
                                       "--format", fmt])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[doc, command, fmt]
+
+
+# sha256 of each hodge and decompose report as the Fraction slope runs and
+# json.dumps rendered them: a lattice-rich box, a dilated simplex with slopes
+# k/2, and an explicit support whose hull has the origin as a vertex (slopes
+# with denominators up to 60), through hodge and three decompose routes
+PINNED_GEOMETRY_DOCS = {
+    "box_212": BOX_212,
+    "simplex_3_2_2": {"family": {"name": "dilated_simplex",
+                                 "parameters": {"n": 3, "d": 2, "D": 2}}},
+    "origin_vertex": {"n": 2, "support": [[2, 0], [0, 3], [3, 2], [1, 4]]},
+}
+PINNED_GEOMETRY_COMMANDS = {
+    "hodge": ["hodge"],
+    "first-lex": ["decompose"],
+    "max-invariant-factor": ["decompose", "--strategy", "max-invariant-factor"],
+    "certificate": ["decompose", "-p", "7"],
+}
+PINNED_GEOMETRY_REPORTS = {
+    ("box_212", "hodge", "json"): "b08652831440afb33c322f3a10db570f181c8ba13de4308c2649f29d124d8c0a",
+    ("box_212", "hodge", "text"): "f0d868626109d6048ef129847fc67e49bc867ead2625a0e93b1a394992a35fc5",
+    ("box_212", "hodge", "csv"): "f2e703b9cd5a3cbe883ad3a9414b5c3cfb6e7c1c90acd4a75fa669822e358ab1",
+    ("box_212", "first-lex", "json"): "5dc1255893b37d8c5440fe603fee2a016abb824e957c1de0c230bf4b9da22332",
+    ("box_212", "first-lex", "text"): "66eb30d7f9c912ca787f82cab6a731b56d55323a13a2d4d952770b3702062669",
+    ("box_212", "first-lex", "csv"): "955b42c5e1633b094700919b8b806108addf370376284836c2eca2e18a5a39d6",
+    ("box_212", "max-invariant-factor", "json"): "b35238ae772ccda874665bc5158ca91d025be143e2fa9f78754b6ffaa636676a",
+    ("box_212", "max-invariant-factor", "text"): "1b8cb1c3d9a90c05d3bb495506e665b0f46a86995aeb238802a760e4c4bdbb12",
+    ("box_212", "max-invariant-factor", "csv"): "955b42c5e1633b094700919b8b806108addf370376284836c2eca2e18a5a39d6",
+    ("box_212", "certificate", "json"): "d53e92d29b54cc4677970f2fdd656724480fb8df4bf1ce3d64eb77d74b508729",
+    ("box_212", "certificate", "text"): "e749d4e8910df958fe6325b28b1d124b6e256e4b31aebc7ab356b2009529a3d8",
+    ("box_212", "certificate", "csv"): "955b42c5e1633b094700919b8b806108addf370376284836c2eca2e18a5a39d6",
+    ("simplex_3_2_2", "hodge", "json"): "d0dfa9f3e05b8960fca89484d772335bcbfbc5dcbc41649df9b1abee930eb5e8",
+    ("simplex_3_2_2", "hodge", "text"): "66a2b8786f24c0b7d997546e659b51e5d9359b11079549b04f8a2e19f55f6809",
+    ("simplex_3_2_2", "hodge", "csv"): "bbcd1af1e6f8146b6b88c21ebc1b94b90e5cf13d3ebe78adfaf4b9108454fa82",
+    ("simplex_3_2_2", "first-lex", "json"): "5df59e221d8688bf9ed238febd094e910e481652ea0a5d7180a08f2842f50bc9",
+    ("simplex_3_2_2", "first-lex", "text"): "3abe0568d2006e3c273c8148250968eaf4c925d58af9938ed42c44ee7979a81d",
+    ("simplex_3_2_2", "first-lex", "csv"): "6086e4ed0b36023f883e21bcb64ddcbc2c884aebb07c11cd669e93cf7cb9dce3",
+    ("simplex_3_2_2", "max-invariant-factor", "json"): "95c696f179e194c5e1c527cdc2e4747830ea411f54f953212361955ca2c53986",
+    ("simplex_3_2_2", "max-invariant-factor", "text"): "ab84f693dd176eeb5523ae434fd176d1ac6b0eb48cb6c30acdf98e3541fc9001",
+    ("simplex_3_2_2", "max-invariant-factor", "csv"): "6086e4ed0b36023f883e21bcb64ddcbc2c884aebb07c11cd669e93cf7cb9dce3",
+    ("simplex_3_2_2", "certificate", "json"): "6544a4ad9495dee10996fe52a69e22254be977b4a73c38bbb56ba84b5d379be0",
+    ("simplex_3_2_2", "certificate", "text"): "9eaedc443f096d4315d278fff053a6baa54cd38d32fb71a5b574dc372330386c",
+    ("simplex_3_2_2", "certificate", "csv"): "6086e4ed0b36023f883e21bcb64ddcbc2c884aebb07c11cd669e93cf7cb9dce3",
+    ("origin_vertex", "hodge", "json"): "a51d4a125690f65e5cda99e0d6cbbe1e98a9281434baf8385ecb5f72f8492d57",
+    ("origin_vertex", "hodge", "text"): "76ba0ba459fa629cd6de448b4a287d1eebf2e5c5e81271be8acef8b840c40455",
+    ("origin_vertex", "hodge", "csv"): "abd715191b7dd21ca89d3133ba78903b479014bd7dceef38a72aeff8a2de4556",
+    ("origin_vertex", "first-lex", "json"): "30b0cab039b0b38935557474305b3743f3d48c964bc908d971c81cac0c506b43",
+    ("origin_vertex", "first-lex", "text"): "8fb77e3b0e423658d9ad89defe2e5d91ac38d460ef24ae28217ecc3ce7a5a094",
+    ("origin_vertex", "first-lex", "csv"): "da2235fb2514bf0412ca405e99fe3ec4aba5ed4695fd65358dd0729da0ea5c84",
+    ("origin_vertex", "max-invariant-factor", "json"): "52d4901546f9645edfa1c2f1feb68b6aed0190bd18f9514a2af05b5df977f3b5",
+    ("origin_vertex", "max-invariant-factor", "text"): "9615722ed595566dc82490d2ad2353213c79047fe5734a88a65a09b987377420",
+    ("origin_vertex", "max-invariant-factor", "csv"): "da2235fb2514bf0412ca405e99fe3ec4aba5ed4695fd65358dd0729da0ea5c84",
+    ("origin_vertex", "certificate", "json"): "70d283b40b176b39d2fa2a4fbb3dc399aaa08d7abae10bdb764c7a26166edfde",
+    ("origin_vertex", "certificate", "text"): "459c1af38a5211e64ddfc343ec0140295a7cad61ae5a6c932ddbc31506e7ba8a",
+    ("origin_vertex", "certificate", "csv"): "da2235fb2514bf0412ca405e99fe3ec4aba5ed4695fd65358dd0729da0ea5c84",
+}
+
+
+@pytest.mark.parametrize("doc,command,fmt", sorted(PINNED_GEOMETRY_REPORTS))
+def test_geometry_reports_match_pinned_digests(tmp_path, capsys, doc, command, fmt):
+    path = write_doc(tmp_path, PINNED_GEOMETRY_DOCS[doc])
+    argv = PINNED_GEOMETRY_COMMANDS[command]
+    code, out, err = run_cli(capsys, [argv[0], path, *argv[1:], "--format", fmt])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == PINNED_GEOMETRY_REPORTS[doc, command, fmt]
+
+
+# strings that exercise every escape: quotes, backslashes, control characters,
+# DEL, non-ASCII text and characters beyond the BMP
+json_strings = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ09é€\u2028\U0001f600') | st.characters(),
+    max_size=6)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | json_strings,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.lists(json_strings, max_size=4)
+                   | st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=40)
+
+
+@given(json_trees)
+@settings(max_examples=300, deadline=None)
+def test_render_json_matches_json_dumps(tree):
+    assert cli.render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [
+    {"density": 0.5},
+    {"rows": [{"p": "2"}, ["1", 1.0]]},
+    {1: "a"},
+    {"a": {"b": [{2: None}]}},
+    {"a": 1, 2: "b"},
+])
+def test_render_json_refuses_floats_and_non_string_keys(tree):
+    with pytest.raises(BrokenInvariant):
+        cli.render_json(tree)
+
+
+@pytest.mark.parametrize("field,value", [("density", 0.5), ("classes", {1: "1"})])
+def test_unrenderable_report_exits_broken_invariant(tmp_path, capsys, monkeypatch,
+                                                     field, value):
+    compute = cli.cmd_ordinary_classes
+
+    def patched(support, echo):
+        report = compute(support, echo)
+        report[field] = value
+        return report
+
+    monkeypatch.setattr(cli, "cmd_ordinary_classes", patched)
+    path = write_doc(tmp_path, FIVE_DIM)
+    code, out, err = run_cli(capsys, ["ordinary-classes", path, "--format", "json"])
+    assert (code, out) == (cli.EXIT_INVARIANT, "")
+    assert err.startswith("error: broken invariant: ") and err.count("\n") == 1

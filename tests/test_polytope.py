@@ -231,6 +231,27 @@ class TestLowerPolygon:
     def test_rejects_decreasing(self):
         with pytest.raises(DegenerateInput):
             pt.LowerPolygon((Fraction(1), Fraction(0)))
+        with pytest.raises(DegenerateInput, match="non-decreasing"):
+            pt.LowerPolygon.from_runs([(Fraction(1, 2), 1), (Fraction(1, 3), 2)])
+        with pytest.raises(DegenerateInput, match="non-decreasing"):
+            pt.LowerPolygon._from_scaled(6, [(3, 1), (2, 2)])
+
+    def test_rejects_negative_multiplicity_in_order(self):
+        with pytest.raises(DegenerateInput, match="non-negative"):
+            pt.LowerPolygon.from_runs([(0, 1), (Fraction(1, 2), -1)])
+        with pytest.raises(DegenerateInput, match="non-decreasing"):
+            pt.LowerPolygon.from_runs([(1, 1), (0, 1), (2, -1)])
+        with pytest.raises(DegenerateInput, match="non-negative"):
+            pt.LowerPolygon._from_scaled(2, [(1, -1)])
+
+    def test_integer_runs(self):
+        poly = pt.LowerPolygon.from_runs(
+            [(0, 0), (Fraction(1, 3), 2), (Fraction(2, 3), 0), (Fraction(1, 2), 1)])
+        assert (poly.scale, poly.steps) == (6, ((2, 2), (3, 1)))
+        assert poly.runs == ((Fraction(1, 3), 2), (Fraction(1, 2), 1))
+        assert pt.LowerPolygon._from_scaled(12, [(4, 1), (4, 1), (6, 1)]) == poly
+        assert (pt.LowerPolygon().scale, pt.LowerPolygon().steps) == (1, ())
+        assert pt.LowerPolygon._from_scaled(5, []) == pt.LowerPolygon()
 
     def test_vertices_merge_collinear(self):
         poly = pt.LowerPolygon.from_slopes([1, 1, 1])

@@ -3,7 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +100,8 @@ class FractionPolygon:
             y += count * s
             vertices.append((x, y))
         self.vertices = tuple(vertices)
+        self.runs = tuple((s, len(list(group)))
+                          for s, group in itertools.groupby(self.slopes))
 
     def lies_above(self, lower):
         cu, cl = self.cumulative, lower.cumulative
@@ -118,8 +120,14 @@ def assert_matches_reference(poly, ref):
     assert poly.cumulative() == ref.cumulative
     assert poly.vertices == ref.vertices
     assert poly.endpoint == ref.vertices[-1]
+    assert poly.runs == ref.runs
     assert all(m > 0 for _, m in poly.runs)
     assert all(a[0] < b[0] for a, b in zip(poly.runs, poly.runs[1:]))
+    # canonical integer form: scale is the lcm of the reduced denominators,
+    # so no prime divides both the scale and every step numerator
+    assert poly.scale == lcm(*(s.denominator for s in ref.slopes))
+    assert gcd(poly.scale, *(s for s, _ in poly.steps)) == 1
+    assert poly.steps == tuple((s * poly.scale, m) for s, m in ref.runs)
 
 
 def assert_comparison_matches(upper, lower, ref_upper, ref_lower):
@@ -153,9 +161,22 @@ def test_run_length_polygon_against_fraction_reference(pair, rnd):
         assert pt.LowerPolygon.from_slopes(shuffled) == poly
         assert pt.LowerPolygon.from_vertices(ref.vertices) == poly
         assert pt.LowerPolygon.from_runs((s, 1) for s in ref.slopes) == poly
+        # any common multiple of the denominators reduces to the same polygon
+        k = rnd.randint(1, 12)
+        scaled = pt.LowerPolygon._from_scaled(
+            k * poly.scale, [(k * s, m) for s, m in poly.steps])
+        assert scaled == poly and hash(scaled) == hash(poly)
+        assert scaled == pt.LowerPolygon.from_runs(ref.runs)
     assert (polys[0] == polys[1]) == (refs[0].slopes == refs[1].slopes)
     for i, j in ((0, 1), (1, 0), (0, 0)):
         assert_comparison_matches(polys[i], polys[j], refs[i], refs[j])
+    # slopes over fifths give a scale no polygon over quarters has
+    fifths = [s + Fraction(1, 5) for s in second]
+    shifted = pt.LowerPolygon.from_slopes(fifths)
+    if first:
+        assert shifted.scale % 5 == 0 and polys[0].scale % 5 != 0
+    assert_comparison_matches(polys[0], shifted, refs[0], FractionPolygon(fifths))
+    assert_comparison_matches(shifted, polys[0], FractionPolygon(fifths), refs[0])
     # an upper polygon sharing the endpoint: move one unit of slope rightwards
     if len(first) >= 2 and refs[0].slopes[0] != refs[0].slopes[-1]:
         moved = list(refs[0].slopes)
