@@ -86,6 +86,17 @@ def _fmt_quotient(num: int, den: int) -> str:
     return f"{_fmt_int(num // g)}/{_fmt_int(den // g)}"
 
 
+def _fmt_quotients(nums, den: int = 1) -> list[str]:
+    """[_fmt_quotient(x, den) for x in nums] with one digit-limit check for the
+    list: when den and the extremes of nums print, so does every reduced part;
+    otherwise each entry goes through _fmt_quotient, which refuses a reduced
+    part too long to print."""
+    if nums and not all(map(polytope._prints, (den, min(nums), max(nums)))):
+        return [_fmt_quotient(x, den) for x in nums]
+    return [str(x // g) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}"
+            for x in nums]
+
+
 def _fmt_rational(x: Fraction) -> str:
     return _fmt_quotient(x.numerator, x.denominator)
 
@@ -96,13 +107,13 @@ def _fmt_point(p) -> list[str]:
 
 def _fmt_polygon(poly: polytope.LowerPolygon) -> dict:
     scale, points = poly._scaled_vertices()
+    texts = _fmt_quotients([s for s, _ in poly.steps], scale)
     slopes = []
-    for s, m in poly.steps:
-        slopes.extend([_fmt_quotient(s, scale)] * m)
-    return {
-        "slopes": slopes,
-        "vertices": [[_fmt_int(x), _fmt_quotient(y, scale)] for x, y in points],
-    }
+    for text, (_, m) in zip(texts, poly.steps):
+        slopes.extend([text] * m)
+    xs = _fmt_quotients([x for x, _ in points])
+    ys = _fmt_quotients([y for _, y in points], scale)
+    return {"slopes": slopes, "vertices": [[x, y] for x, y in zip(xs, ys)]}
 
 
 def load_input(path: str) -> dict:
@@ -223,7 +234,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
         "denominator": _fmt_int(ds.denominator),
         "orbits": [
             {
-                "representative": [_fmt_quotient(x, dn) for x in o.representative.a],
+                "representative": _fmt_quotients(o.representative.a, dn),
                 "degree": o.degree,
                 "slope": _fmt_rational(o.slope),
             }
@@ -234,7 +245,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
         "ordinary": verdict.ordinary,
         "witness": None
         if verdict.witness is None
-        else [_fmt_quotient(x, dn) for x in verdict.witness.a],
+        else _fmt_quotients(verdict.witness.a, dn),
         "comparison": {
             "status": comparison.status.value,
             "endpoints_coincide": comparison.endpoints_coincide,

@@ -8,6 +8,15 @@ exact p-adic valuations of the reciprocal zeros of the associated
 L-function, with each orbit of size d contributing its mean coordinate-sum
 as a slope of multiplicity d. Norm stability under the p-action is
 equivalent to the valuations meeting their combinatorial lower bound.
+
+The group is read off one Smith form P*M*Q = D, and its checks cost O(n^2)
+per invariant factor rather than a walk over every element. `exactmath.snf`
+checks P*M*Q = D, and `from_matrix` checks that the d_i multiply to |det M|;
+so det P * det Q = +-1, both are unimodular, and the mixed-radix table holds
+|det M| distinct elements (Newman, Integral Matrices, 1972). The table
+checks that each generator Q[:, j]/d_j solves M*r = 0 (mod 1), which catches
+a Smith form taken of another matrix; a hand-built one whose Q is not
+unimodular is caught only by the per-element checks in the test oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from . import exactmath as xm
@@ -103,6 +113,8 @@ class DiagonalSimplex:
             det=det,
             denominator=abs(det) // gcd(det, *map(sum, zip(*adj))),
         )
+        if prod(ds.snf.diag) != abs(det):
+            raise BrokenInvariant("the Smith diagonal does not multiply to |det M|")
         if ds.snf.diag[-1] % ds.denominator:
             raise BrokenInvariant("facet denominator does not divide d_n")
         return ds
@@ -153,6 +165,10 @@ class DiagonalSimplex:
         k in mixed radix with the last factor d_n least significant, is
         a = sum_j c_j*(d_n/d_j)*Q[:, j] mod d_n. Refused before allocating when
         the order exceeds the enumeration budget.
+
+        Closure is checked on the generators: M*Q[:, j] = 0 (mod d_j) for each
+        d_j > 1, so every sum of them solves M*r = 0 (mod 1). Distinctness
+        needs no walk, since `from_matrix` has shown that Q is unimodular.
         """
         _check_order(self, "group")
         dn = self.largest_invariant_factor
@@ -161,17 +177,13 @@ class DiagonalSimplex:
         for d, q in zip(self.snf.diag, self.snf.Q.columns()):
             if d == 1:
                 continue
+            if any(sum(map(mul, row, q)) % d for row in self.matrix.entries):
+                raise BrokenInvariant("a Smith generator does not solve M*r = 0 (mod 1)")
             radices.append(d)
             for i, c in enumerate(q):
                 offsets = [c * (dn // d) * j % dn for j in range(d)]
                 columns[i] = [(x + y) % dn for x in columns[i] for y in offsets]
         vectors = list(zip(*columns))
-        if len(set(vectors)) != self.group_order:
-            raise BrokenInvariant("group elements are not distinct")
-        for row in self.matrix.entries:
-            dots = map(sum, zip(*[map(x.__mul__, col) for x, col in zip(row, columns)]))
-            if any(map(dn.__rmod__, dots)):
-                raise BrokenInvariant("a group element does not solve M*r = 0 (mod 1)")
         norms = list(map(sum, vectors))
         order = [k for _, _, k in sorted(zip(norms, vectors, range(len(vectors))))]
         return _GroupTable(dn, tuple(radices), vectors, norms, order)

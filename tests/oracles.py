@@ -16,7 +16,10 @@ same data another way and are used only by the tests:
 - `group`, `orbits`, `is_ordinary`, `ordinary_residues` and
   `hodge_counts_diag`: the diagonal group as sorted `GroupElement`s and the
   p-action as one tuple per element per step, against the library's integer
-  table indexed by Smith coordinates.
+  table indexed by Smith coordinates;
+- `check_table`: the per-element distinctness and closure walks over that
+  table, which the library replaces by checks on the Smith form and its
+  generators.
 """
 
 import itertools
@@ -193,13 +196,28 @@ def group(ds):
                 grown.append(a)
                 a = tuple([(x + y) % dn for x, y in zip(a, step)])
         vectors = grown
+    _check_solutions(ds, vectors)
+    vectors.sort(key=lambda a: (sum(a), a))
+    return tuple(dg.GroupElement(a, dn) for a in vectors)
+
+
+def _check_solutions(ds, vectors):
+    """That vectors are |det M| distinct solutions a of M*a = 0 (mod d_n)."""
+    dn = ds.largest_invariant_factor
     if len(set(vectors)) != ds.group_order:
         raise BrokenInvariant("group elements are not distinct")
     for row in ds.matrix.entries:
         if any(sum(map(mul, row, a)) % dn for a in vectors):
             raise BrokenInvariant("a group element does not solve M*r = 0 (mod 1)")
-    vectors.sort(key=lambda a: (sum(a), a))
-    return tuple(dg.GroupElement(a, dn) for a in vectors)
+
+
+def check_table(ds):
+    """Walk every element of the library's table: distinct, and closed under M.
+
+    The library checks only that the Smith diagonal multiplies to |det M| and
+    that each generator solves M*r = 0 (mod 1); this catches what those miss,
+    such as a Smith form whose Q is not unimodular."""
+    _check_solutions(ds, ds._table.vectors)
 
 
 def orbits(ds, p):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from npoly import catalog, cli, diagonal, exactmath, polytope
-from npoly.errors import BrokenInvariant, NotCoprime
+from npoly.errors import BrokenInvariant, DegenerateInput, NotCoprime
 from oracles import sweep_cone
 from test_catalog import CASES as CATALOG_CASES
 
@@ -113,6 +113,23 @@ class TestDiagonal:
             code, _, _ = run_cli(capsys, ["diagonal", path, "-p", "7", "--format", fmt])
             assert code == 0
             assert len(calls) == 1
+
+    def test_smith_diagonal_off_the_determinant_exits_broken_invariant(
+            self, tmp_path, capsys, monkeypatch):
+        # P*M*Q = D holds, but D's product 2*|det M| would make P or Q singular
+        honest = exactmath.snf
+
+        def doubled(m):
+            snf = honest(m)
+            return exactmath.SnfResult(snf.P, snf.Q, snf.diag[:-1] + (2 * snf.diag[-1],))
+
+        monkeypatch.setattr(exactmath, "snf", doubled)
+        path = write_doc(tmp_path, FIVE_DIM)
+        for fmt in sorted(cli.RENDERERS):
+            code, out, err = run_cli(capsys, ["diagonal", path, "-p", "7", "--format", fmt])
+            assert (code, out) == (cli.EXIT_INVARIANT, "")
+            assert err == ("error: broken invariant: the Smith diagonal does not multiply"
+                           " to |det M|\n")
 
     def test_shape_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, KLOOSTERMAN)
@@ -609,10 +626,17 @@ def test_reports_match_subset_sweep_on_lattice_rich_box(tmp_path, capsys, monkey
 
 # sha256 of each report as the tuple-walking group code (now tests/oracles.py)
 # rendered it: the Z/3 x Z/9 group of four_dim D=3 k=2 and a cyclic group of
-# order 74 with three ordinary classes, through every diagonal command and format
+# order 74 with three ordinary classes, through every diagonal command and format.
+# Two more were rendered by the per-integer formatter, before the list formatter:
+# a cyclic group of order 2,736 whose Hodge polygon has 2,736 runs and whose
+# Newton polygon at p = 7 has 66, and Z/2 x Z/4 x Z/12
 PINNED_DOCS = {
     "four_dim_3_2": {"family": {"name": "four_dim", "parameters": {"D": 3, "k": 2}}},
     "cyclic_74": {"n": 3, "support": [[-2, 2, 1], [5, 2, -2], [1, 2, 5]]},
+    "cyclic_2736": {"n": 4, "support": [[-5, -2, -3, 4], [4, -8, -1, -5], [0, 3, 7, -3],
+                                        [-3, -5, 4, 7]]},
+    "non_cyclic_2_4_12": {"n": 4, "support": [[1, 0, -1, 0], [4, -2, -2, 4], [-2, 0, 6, 0],
+                                              [3, -12, 1, 12]]},
 }
 PINNED_OPTIONS = {"diagonal": ["-p", "7"], "ordinary-classes": [], "scan": ["--bound", "500"]}
 PINNED_REPORTS = {
@@ -634,6 +658,24 @@ PINNED_REPORTS = {
     ("cyclic_74", "scan", "json"): "fec7d3b1682c1846ff05a3d3d357074af17bd91308298548a6f6913f7da9a795",
     ("cyclic_74", "scan", "text"): "dc366452251a4cd810ee9d9fcd6bdd80d82ad2ac85f0e6ccbeec6fe701fcce25",
     ("cyclic_74", "scan", "csv"): "5f6c0f84370038c4efd9317abc1a458fd50b63df9c8c88cdaa7a12adde32975b",
+    ("cyclic_2736", "diagonal", "json"): "be4d8c64ae9580325e7d75d31d0f749023a6175fb17d03d7812d9eec393954a9",
+    ("cyclic_2736", "diagonal", "text"): "ec759c0f20a9d0fcabac0a8608300d09075d6efd91c6e331d6127648d0be8d8b",
+    ("cyclic_2736", "diagonal", "csv"): "ef18759603a845a408609906fc2452e3b34a7230e87384854cfb6f1408fbb265",
+    ("cyclic_2736", "ordinary-classes", "json"): "e17931e1bab40831e623209121a927deeecd79b9b46de7e3c5b3c768edf8bbbd",
+    ("cyclic_2736", "ordinary-classes", "text"): "227bf755d57ac11a9dfc7c86149b8016e93ab429c0da1bf5a2de06cbb0a375e0",
+    ("cyclic_2736", "ordinary-classes", "csv"): "1492c386d19c0c834638d6c5869937d345ede13d583f4efe0415bf4f45d37b57",
+    ("cyclic_2736", "scan", "json"): "cde64a12ed2fee6eeada305c0e0df4bf12c3f7c0b8276635f01e0e42b1bb0a28",
+    ("cyclic_2736", "scan", "text"): "f478e1ffe663fa5c889914fab79611587442af6ad5828c6277ac1913a5608d48",
+    ("cyclic_2736", "scan", "csv"): "4b0dd4d977fd2fbe80bf10fce05e094a40143bd4764696a9fc7d3294212b40ff",
+    ("non_cyclic_2_4_12", "diagonal", "json"): "d3eeeb8521084e3bdca9875823ebaa0fa489a1f534b3c69f3b856a56c23c3d3b",
+    ("non_cyclic_2_4_12", "diagonal", "text"): "0d7ea7239662e6fdfc4f04a29e81babc3c2d734b09ab7f13bfe63bf669ea5ec3",
+    ("non_cyclic_2_4_12", "diagonal", "csv"): "cbe96fc12acc9469dee984d0e01d36e37793c4251d28ba84cd6d904b36d7cba4",
+    ("non_cyclic_2_4_12", "ordinary-classes", "json"): "bf44735d9a8262c50a77ec931855d9854c0a975e4697e9c8ad24fbfa55559fba",
+    ("non_cyclic_2_4_12", "ordinary-classes", "text"): "8b77e0e8d4ff6a1cdc9334caae764b4087241edb467e4eb1488e85964df0bdcb",
+    ("non_cyclic_2_4_12", "ordinary-classes", "csv"): "1492c386d19c0c834638d6c5869937d345ede13d583f4efe0415bf4f45d37b57",
+    ("non_cyclic_2_4_12", "scan", "json"): "82d9d44456c26b10b3f58112610f4bfd55ddd2db6f0f1c44ca8716b080def9f4",
+    ("non_cyclic_2_4_12", "scan", "text"): "98a889a7ec056c80f3dabbe669a35b46989dc1a225be92d152a2857d4601174d",
+    ("non_cyclic_2_4_12", "scan", "csv"): "235fd045fffc593fc2d0a73e9407076d1f8ccf25fb86ee105b2df55f9b6ebc53",
 }
 
 
@@ -710,6 +752,54 @@ def test_geometry_reports_match_pinned_digests(tmp_path, capsys, doc, command, f
     assert (code, err) == (0, "")
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == PINNED_GEOMETRY_REPORTS[doc, command, fmt]
+
+
+def per_entry(nums, den):
+    """The list formatter's reference: one checked _fmt_quotient per entry."""
+    try:
+        return [cli._fmt_quotient(x, den) for x in nums]
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+def per_list(nums, den):
+    try:
+        return cli._fmt_quotients(nums, den)
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+# numerators of every sign and length, some past CPython's digit limit
+numerators = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.integers(-(10**60), 10**60),
+    st.sampled_from([0, 1, -1, 10**4400, -(10**4400), 10**4400 * 6, 2**20000]),
+)
+denominators = st.one_of(st.just(1), st.integers(1, 10**6), st.integers(1, 10**60),
+                         st.sampled_from([6, 10**4400, 10**4400 * 3]))
+
+
+@given(st.lists(numerators, max_size=8), denominators)
+@settings(max_examples=400, deadline=None)
+def test_list_formatter_matches_per_entry_route(nums, den):
+    assert per_list(nums, den) == per_entry(nums, den)
+
+
+@pytest.mark.skipif(not polytope._DIGIT_LIMIT, reason="no integer digit limit")
+@pytest.mark.parametrize("nums,den", [
+    ([1, 10**4400, 2], 1),
+    ([0, -(10**4400), 5], 3),
+    ([10**4400, 10**200], 10**200),  # reduced, the long entry prints as before
+    ([3], 10**4400),
+    ([10**4400], 10**4400),
+    ([], 10**4400),
+    ((), 7),
+], ids=["integer", "negative", "reduced", "denominator", "cancels", "empty-long", "empty"])
+def test_list_formatter_refuses_like_the_per_entry_route(nums, den):
+    expected = per_entry(nums, den)
+    assert per_list(nums, den) == expected
+    if isinstance(expected, str):
+        assert expected.endswith("-bit integer is too long to print at stage render")
 
 
 # strings that exercise every escape: quotes, backslashes, control characters,

@@ -5,7 +5,9 @@ and the p-action as a map on those indices. `tests/oracles.py` keeps the
 former route: sorted `GroupElement`s, acted on one tuple at a time. Every
 result is compared: the group, the orbits (representatives, member order,
 degrees, slopes), the ordinariness verdict with its witness, the ordinary
-residue classes and the Hodge counts.
+residue classes and the Hodge counts. The table itself is walked element by
+element (`oracles.check_table`): the library checks only the Smith form and
+its generators, so these walks guard the mixed-radix construction.
 
 Random small matrices almost always give a cyclic group, so a second
 strategy draws U*diag(d1, d2, d3)*V with U and V unimodular, whose group has
@@ -22,6 +24,7 @@ import oracles
 from npoly import catalog
 from npoly import diagonal as dg
 from npoly import exactmath as xm
+from npoly.errors import BrokenInvariant
 
 MAX_ORDER = 3000
 
@@ -79,6 +82,7 @@ def _coprime_multiplier(draw, ds):
 
 
 def assert_table_matches_oracles(ds, m):
+    oracles.check_table(ds)
     assert ds.group == oracles.group(ds)
     assert len(ds.group) == ds.group_order
     assert dg.orbits(ds, m) == oracles.orbits(ds, m)
@@ -107,6 +111,25 @@ def test_groups_with_several_invariant_factors(matrix, data):
     ds = dg.DiagonalSimplex.from_matrix(matrix)
     assert sum(d > 1 for d in ds.invariant_factors) >= 2
     assert_table_matches_oracles(ds, _coprime_multiplier(data.draw, ds))
+
+
+def test_check_table_catches_a_smith_form_with_a_singular_q():
+    # Q = [[0, 2], [1, 0]] has det -2, yet its column for d = 2 solves
+    # M*r = 0 (mod 1): the library's generator check passes, and only the
+    # per-element walk sees the two equal elements
+    matrix = xm.IntMatrix.from_rows([[2, 0], [0, 1]])
+    honest = dg.DiagonalSimplex.from_matrix(matrix)
+    assert honest.invariant_factors == (1, 2)
+    oracles.check_table(honest)
+    forged = dg.DiagonalSimplex(
+        matrix=matrix,
+        snf=xm.SnfResult(honest.snf.P, xm.IntMatrix.from_rows([[0, 2], [1, 0]]), (1, 2)),
+        det=honest.det,
+        denominator=honest.denominator,
+    )
+    assert forged._table.vectors == [(0, 0), (0, 0)]
+    with pytest.raises(BrokenInvariant, match="not distinct"):
+        oracles.check_table(forged)
 
 
 @pytest.mark.parametrize("name,params,p", [
