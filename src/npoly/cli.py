@@ -20,7 +20,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import catalog, decompose, diagonal, polytope, primes
-from . import exactmath as xm
 from .errors import (
     BrokenInvariant,
     DegenerateInput,
@@ -288,8 +287,10 @@ def cmd_decompose(
             "diagonal": fp.is_diagonal,
         }
         if fp.is_diagonal:
-            snf = xm.snf(xm.IntMatrix.from_columns(fp.restricted_support))
-            row["invariant_factors"] = [_fmt_int(d) for d in snf.diag]
+            # a diagonal face collapses to itself: one piece, one record
+            row["invariant_factors"] = [
+                _fmt_int(d) for d in collapse.simplices[0].invariant_factors
+            ]
         row["collapse"] = {
             "pieces": [[_fmt_point(q) for q in piece] for piece in collapse.pieces],
             "piece_invariant_factors": [_fmt_int(d) for d in collapse.piece_invariant_factors],
@@ -311,9 +312,7 @@ def cmd_decompose(
             "reason": cert.reason,
         }
     else:
-        report["dstar"] = _fmt_int(
-            lcm(*(int(row["collapse"]["dstar"]) for row in face_rows))
-        )
+        report["dstar"] = _fmt_int(lcm(*(collapse.dstar for _, collapse in faces)))
     return report
 
 

@@ -10,7 +10,7 @@ the generic family attains its lower polygon.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -52,12 +52,13 @@ class FacialVerdict:
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Indecomposable n-point pieces from a complete collapse of a facet set."""
+    """Indecomposable n-point pieces of a complete collapse, one record each."""
 
     pieces: tuple[tuple[LatticePoint, ...], ...]
     piece_invariant_factors: tuple[int, ...]
     dstar: int
     choice_log: tuple[LatticePoint, ...]
+    simplices: tuple[dg.DiagonalSimplex, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -169,24 +170,25 @@ def collapse_step(vset, chosen) -> tuple[tuple[LatticePoint, ...], ...]:
     return pt._step(pts, pt._local_coordinates(pts), chosen)
 
 
-def _piece_factor(piece, factors: dict) -> int:
-    """Largest invariant factor of an n-point piece, memoised in `factors`."""
-    if piece not in factors:
-        factors[piece] = xm.snf(xm.IntMatrix.from_columns(piece)).diag[-1]
-    return factors[piece]
+def _simplex(piece, simplices: dict) -> dg.DiagonalSimplex:
+    """The record of an n-point piece, built once per distinct piece in `simplices`."""
+    if piece not in simplices:
+        simplices[piece] = dg.DiagonalSimplex.from_matrix(xm.IntMatrix.from_columns(piece))
+    return simplices[piece]
 
 
-def _pick_max_invariant_factor(cur, local, choices, n, factors):
+def _pick_max_invariant_factor(cur, local, choices, n, simplices):
     """Prefer the vertex whose step peels off the largest invariant factor;
     returns it with the pieces of its step."""
     def score(step):
-        return max((_piece_factor(p, factors) for p in step[1] if len(p) == n), default=0)
+        return max((_simplex(p, simplices).largest_invariant_factor
+                    for p in step[1] if len(p) == n), default=0)
 
     # max keeps the first of equal scores, so ties go to the least vertex
     return max(((cand, pt._step(cur, local, cand)) for cand in sorted(choices)), key=score)
 
 
-def _achievable_collapses(pts, n, memo, factors):
+def _achievable_collapses(pts, n, memo, simplices):
     """All achievable dstar values for a point set, with one witness each.
 
     The overall dstar is an lcm over pieces, which is not monotone in the
@@ -198,7 +200,7 @@ def _achievable_collapses(pts, n, memo, factors):
     if key in memo:
         return memo[key]
     if len(pts) == n:
-        memo[key] = {_piece_factor(pts, factors): ((pts,), ())}
+        memo[key] = {_simplex(pts, simplices).largest_invariant_factor: ((pts,), ())}
         return memo[key]
     out: dict = {}
     local = pt._local_coordinates(pts)
@@ -209,7 +211,7 @@ def _achievable_collapses(pts, n, memo, factors):
         pieces = pt._step(pts, local, cand)
         combos = {1: ((), ())}
         for piece in pieces:
-            child = _achievable_collapses(piece, n, memo, factors)
+            child = _achievable_collapses(piece, n, memo, simplices)
             merged = {}
             for v0 in sorted(combos):
                 ps0, log0 = combos[v0]
@@ -233,28 +235,32 @@ def complete_collapse(vset, strategy: str = "first-lex") -> CollapseResult:
     The vertex picked at each step is strategy-dependent; no choice rule is
     known to be optimal, so the strategy is an explicit parameter. Pieces
     are reported once each, although they may share points. Each split
-    point set gets one chart, and each piece one Smith normal form.
+    point set gets one chart, and each distinct piece one `DiagonalSimplex`
+    record, built once and shared by the scores, `simplices` and the
+    certificate.
     """
     pts, n = _validate_collapse_input(vset)
     if strategy not in STRATEGIES:
         raise DegenerateInput(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
-    factors: dict = {}
+    simplices: dict = {}
     if strategy == "exhaustive-min-dstar":
-        achievable = _achievable_collapses(pts, n, {}, factors)
+        achievable = _achievable_collapses(pts, n, {}, simplices)
         pieces, log = achievable[min(achievable)]
         final, choice_log = list(pieces), list(log)
     elif strategy == "first-lex":
         final, choice_log = pt._greedy_collapse(pts, n)
     else:
-        pick = partial(_pick_max_invariant_factor, n=n, factors=factors)
+        pick = partial(_pick_max_invariant_factor, n=n, simplices=simplices)
         final, choice_log = pt._greedy_collapse(pts, n, pick)
-    unique = list(dict.fromkeys(tuple(sorted(piece)) for piece in final))
-    piece_factors = tuple(_piece_factor(piece, factors) for piece in unique)
+    unique = tuple(dict.fromkeys(tuple(sorted(piece)) for piece in final))
+    records = tuple(_simplex(piece, simplices) for piece in unique)
+    piece_factors = tuple(ds.largest_invariant_factor for ds in records)
     return CollapseResult(
-        pieces=tuple(unique),
+        pieces=unique,
         piece_invariant_factors=piece_factors,
         dstar=lcm(*piece_factors) if piece_factors else 1,
         choice_log=tuple(choice_log),
+        simplices=records,
     )
 
 
@@ -277,8 +283,7 @@ def generic_ordinary_certificate(
         dstar = lcm(dstar, collapse.dstar)
         verdicts = []
         failing = None
-        for j, piece in enumerate(collapse.pieces):
-            ds = dg.DiagonalSimplex.from_matrix(xm.IntMatrix.from_columns(piece))
+        for j, ds in enumerate(collapse.simplices):
             if gcd(p, ds.group_order) != 1:
                 raise NotCoprime(
                     f"{p} divides the determinant of piece {j} of face {i}", face=i

@@ -403,13 +403,14 @@ def denominator_divides(ds: DiagonalSimplex) -> DenominatorRelation:
 
 
 def check_indecomposable_equality(ds: DiagonalSimplex) -> bool:
-    """For n <= 3 and a vertex-only away-facet, the denominator equals d_n."""
+    """For n <= 3 and a vertex-only away-facet, the denominator equals d_n.
+
+    A non-vertex lattice point M*r of that facet has r >= 0, sum r = 1 and
+    each r_i < 1: it is a group element r = a/d_n with sum(a) = d_n."""
     if ds.dim > 3:
         raise DegenerateInput("equality is only guaranteed in ambient dimension <= 3")
-    vertices = set(ds.matrix.columns())
-    every = pt.hull_lattice_points(list(vertices) + [(0,) * ds.dim])
-    on_face = {u for u in every if ds.polyhedron.weight(u) == 1}
-    if on_face != vertices:
+    table = ds._table
+    if table.modulus in table.norms:
         raise NotIndecomposable(
             "away-facet carries lattice points other than the vertices"
         )

@@ -200,13 +200,6 @@ def _bounding_box(points, stage):
     return [range(lo, hi + 1) for lo, hi in zip(los, his)]
 
 
-def hull_lattice_points(points) -> list[LatticePoint]:
-    """All lattice points of a full-dimensional hull, by bounding-box scan."""
-    box = _bounding_box(points, "hull_lattice_points")
-    facets = affine_facets(points)
-    return sorted(u for u in itertools.product(*box) if _satisfies(facets, u))
-
-
 def interior_lattice_points(points) -> list[LatticePoint]:
     """Lattice points strictly inside a full-dimensional hull in Z^d."""
     facets = affine_facets(points)

@@ -19,7 +19,10 @@ same data another way and are used only by the tests:
   table indexed by Smith coordinates;
 - `check_table`: the per-element distinctness and closure walks over that
   table, which the library replaces by checks on the Smith form and its
-  generators.
+  generators;
+- `hull_lattice_points` and `check_indecomposable_equality`: the lattice
+  points of a hull by bounding-box scan, and the away-facet test read off
+  them, against the library's test on the group table's norms.
 """
 
 import itertools
@@ -30,7 +33,7 @@ from operator import mul
 from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
-from npoly.errors import BrokenInvariant, DegenerateInput, NotCoprime
+from npoly.errors import BrokenInvariant, DegenerateInput, NotCoprime, NotIndecomposable
 
 
 def sweep_extreme_rays(rows):
@@ -293,3 +296,25 @@ def ordinary_residues(ds):
     units = [m for m in range(1, dn + 1) if gcd(m, dn) == 1]
     stable = tuple(m for m in units if all(_norm_stable(e, m) for e in elements))
     return dg.ResidueClassification(dn, stable, len(stable), Fraction(len(stable), len(units)))
+
+
+def hull_lattice_points(points):
+    """All lattice points of a full-dimensional hull, by bounding-box scan."""
+    box = pt._bounding_box(points, "hull_lattice_points")
+    facets = pt.affine_facets(points)
+    return sorted(u for u in itertools.product(*box) if pt._satisfies(facets, u))
+
+
+def check_indecomposable_equality(ds):
+    """For n <= 3 and a vertex-only away-facet, the denominator equals d_n;
+    the facet's lattice points are found by scanning the hull's box."""
+    if ds.dim > 3:
+        raise DegenerateInput("equality is only guaranteed in ambient dimension <= 3")
+    vertices = set(ds.matrix.columns())
+    every = hull_lattice_points(list(vertices) + [(0,) * ds.dim])
+    on_face = {u for u in every if ds.polyhedron.weight(u) == 1}
+    if on_face != vertices:
+        raise NotIndecomposable(
+            "away-facet carries lattice points other than the vertices"
+        )
+    return ds.denominator == ds.largest_invariant_factor

@@ -37,6 +37,22 @@ HUGE_TABLE = {"n": 3, "support": [[-1, -2, 3], [-1, 3, -1], [2, -3, -3], [2, 0, 
 BOX_212 = {"family": {"name": "box", "parameters": {"dims": [2, 1, 2]}}}
 
 
+SMITH_PRODUCT_ERROR = (
+    "error: broken invariant: the Smith diagonal does not multiply to |det M|\n")
+
+
+def double_the_last_invariant_factor(monkeypatch):
+    """Make `exactmath.snf` report 2*d_n: P*M*Q = D still holds as computed,
+    but D's product 2*|det M| would make P or Q singular."""
+    honest = exactmath.snf
+
+    def doubled(m):
+        snf = honest(m)
+        return exactmath.SnfResult(snf.P, snf.Q, snf.diag[:-1] + (2 * snf.diag[-1],))
+
+    monkeypatch.setattr(exactmath, "snf", doubled)
+
+
 class TestHodge:
     def test_monomial_slopes(self, tmp_path, capsys):
         path = write_doc(tmp_path, MONOMIAL_3)
@@ -116,20 +132,11 @@ class TestDiagonal:
 
     def test_smith_diagonal_off_the_determinant_exits_broken_invariant(
             self, tmp_path, capsys, monkeypatch):
-        # P*M*Q = D holds, but D's product 2*|det M| would make P or Q singular
-        honest = exactmath.snf
-
-        def doubled(m):
-            snf = honest(m)
-            return exactmath.SnfResult(snf.P, snf.Q, snf.diag[:-1] + (2 * snf.diag[-1],))
-
-        monkeypatch.setattr(exactmath, "snf", doubled)
+        double_the_last_invariant_factor(monkeypatch)
         path = write_doc(tmp_path, FIVE_DIM)
         for fmt in sorted(cli.RENDERERS):
             code, out, err = run_cli(capsys, ["diagonal", path, "-p", "7", "--format", fmt])
-            assert (code, out) == (cli.EXIT_INVARIANT, "")
-            assert err == ("error: broken invariant: the Smith diagonal does not multiply"
-                           " to |det M|\n")
+            assert (code, out, err) == (cli.EXIT_INVARIANT, "", SMITH_PRODUCT_ERROR)
 
     def test_shape_error(self, tmp_path, capsys):
         path = write_doc(tmp_path, KLOOSTERMAN)
@@ -253,6 +260,21 @@ class TestDecompose:
         assert report["faces"][0]["support_points"] == [["3", "0"], ["0", "3"]]
         assert report["certificate"]["certified"] is True
         assert report["certificate"]["dstar"] == "3"
+
+    @pytest.mark.parametrize("doc", [
+        {"family": {"name": "kloosterman", "parameters": {"n": 3}}},
+        {"n": 2, "support": [[2, 0], [0, 3]]},
+    ], ids=["kloosterman-3", "diagonal-2-3"])
+    def test_smith_diagonal_off_the_determinant_exits_broken_invariant(
+            self, doc, tmp_path, capsys, monkeypatch):
+        # every piece's Smith form is checked, with or without a certificate
+        double_the_last_invariant_factor(monkeypatch)
+        path = write_doc(tmp_path, doc)
+        for fmt in sorted(cli.RENDERERS):
+            for prime in ([], ["-p", "7"]):
+                code, out, err = run_cli(
+                    capsys, ["decompose", path, "--format", fmt] + prime)
+                assert (code, out, err) == (cli.EXIT_INVARIANT, "", SMITH_PRODUCT_ERROR)
 
 
 def assert_scan_matches_is_ordinary(support, bound):

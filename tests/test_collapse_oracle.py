@@ -3,8 +3,9 @@
 The reference below is the collapse as first written: every step charts
 and validates its input from scratch, and the max-invariant-factor rule
 steps the winning vertex a second time. The library shares one chart per
-split point set and one Smith normal form per piece; the pieces, their
-invariant factors, D* and the choice log must not change.
+split point set and one `DiagonalSimplex` record, with its one Smith normal
+form, per piece; the pieces, their invariant factors, D* and the choice log
+must not change.
 """
 
 from collections import Counter
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from npoly import catalog
 from npoly import decompose as dc
+from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.errors import DegenerateInput
@@ -330,6 +332,34 @@ class TestWorkDoneOnce:
         assert set(res.pieces) <= set(computed)
         if strategy == "first-lex":
             assert set(computed) == set(res.pieces)
+
+    @pytest.mark.parametrize("strategy", dc.STRATEGIES)
+    def test_certificate_builds_one_record_per_piece(self, strategy, monkeypatch):
+        # six faces of 3, 4 and 7 points; the certificate reads each piece's
+        # record off its collapse instead of taking a second Smith form
+        records = []
+        from_matrix = vars(dg.DiagonalSimplex)["from_matrix"].__func__
+        monkeypatch.setattr(dg.DiagonalSimplex, "from_matrix", classmethod(
+            lambda cls, m: records.append(tuple(m.columns())) or from_matrix(cls, m)))
+        snfs = []
+        snf = xm.snf
+        monkeypatch.setattr(xm, "snf", lambda m: snfs.append(tuple(m.columns())) or snf(m))
+        cert = dc.generic_ordinary_certificate(
+            pt.Support(3, POLYGON_7 + ((-1, -1, -2),)), 101, strategy)
+        assert len(cert.faces) == 6 and not cert.certified
+        built = Counter(records)
+        assert max(built.values()) == 1
+        assert Counter(snfs) == built
+        pieces = set()
+        for fc in cert.faces:
+            collapse = fc.collapse
+            assert [ds.matrix.columns() for ds in collapse.simplices] == [
+                list(piece) for piece in collapse.pieces]
+            assert len(fc.pieces_ordinary) == len(collapse.pieces)
+            pieces.update(collapse.pieces)
+        assert pieces <= set(built)
+        if strategy == "first-lex":
+            assert set(built) == pieces
 
     @pytest.mark.parametrize("strategy", dc.STRATEGIES)
     def test_incidences_come_from_the_enumerator(self, strategy, monkeypatch):

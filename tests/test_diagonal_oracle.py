@@ -4,6 +4,8 @@
 adjugate. Here both are recomputed the slow way: the determinant by its own
 elimination, D and the normalized volume from `polytope.build`, and D once
 more as the lcm of the denominators of the solution e of e*M = (1,...,1).
+The away-facet test of `check_indecomposable_equality`, read off the group
+table's norms, is compared with the bounding-box scan of the hull it replaced.
 """
 
 from math import lcm
@@ -16,7 +18,8 @@ from npoly import catalog
 from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
-from npoly.errors import DegenerateMatrix
+from npoly.errors import DegenerateMatrix, NotIndecomposable
+from oracles import check_indecomposable_equality
 
 N_POINT_FAMILIES = [
     ("monomial", {"d": 1}),
@@ -29,14 +32,20 @@ N_POINT_FAMILIES = [
     ("four_dim", {"D": 3, "k": 2}),
 ]
 
-nonsingular = (
-    st.integers(min_value=1, max_value=4)
-    .flatmap(lambda n: st.lists(
-        st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
-    ))
-    .map(xm.IntMatrix.from_rows)
-    .filter(lambda m: xm.determinant(m) != 0)
-)
+
+def nonsingular_matrices(max_n):
+    """Nonsingular n x n matrices, n = 1..max_n, with entries in [-4, 4]."""
+    return (
+        st.integers(min_value=1, max_value=max_n)
+        .flatmap(lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        ))
+        .map(xm.IntMatrix.from_rows)
+        .filter(lambda m: xm.determinant(m) != 0)
+    )
+
+
+nonsingular = nonsingular_matrices(4)
 
 
 def assert_matches_slow_path(matrix):
@@ -56,6 +65,21 @@ def assert_matches_slow_path(matrix):
 @settings(max_examples=200, deadline=None)
 def test_random_matrices_match_the_polyhedron(matrix):
     assert_matches_slow_path(matrix)
+
+
+def _indecomposable_outcome(check, ds):
+    try:
+        return check(ds)
+    except NotIndecomposable as exc:
+        return NotIndecomposable, str(exc)
+
+
+@given(nonsingular_matrices(3))
+@settings(max_examples=200, deadline=None)
+def test_away_facet_test_matches_the_box_scan(matrix):
+    ds = dg.DiagonalSimplex.from_matrix(matrix)
+    assert (_indecomposable_outcome(dg.check_indecomposable_equality, ds)
+            == _indecomposable_outcome(check_indecomposable_equality, ds))
 
 
 @pytest.mark.parametrize(

