@@ -2,9 +2,17 @@
 """Sweep primes for a named family and compare the observed density of
 ordinary primes with the residue-class prediction.
 
-Each prime's `is_ordinary` verdict must agree with whether its residue mod
-d_n is one of `ordinary_residues`' classes; the script exits 1 and lists the
-primes where the two routes disagree.
+Each prime's `is_ordinary` verdict is checked twice:
+
+- against whether its residue mod d_n is one of `ordinary_residues`'
+  classes. Both walk the same p-action on the group table, so this guards
+  the reduction of p to p mod d_n;
+- against whether the Newton polygon equals the Hodge polygon, a route
+  through the orbit slopes: averaging unequal norms over an orbit lowers
+  the sum of the squared slopes, so the polygons agree exactly when every
+  orbit keeps one norm.
+
+The script exits 1 and lists the primes where either check fails.
 
 Examples:
     python scripts/residue_scan.py monomial d=6 --bound 2000
@@ -43,17 +51,20 @@ def main():
     family = catalog.make(args.family, parse_params(args.params))
     ds = diagonal.DiagonalSimplex.from_support(family.support)
     res = diagonal.ordinary_residues(ds)
+    hodge = diagonal.hodge_polygon_diag(ds)
 
     per_class = {}
     tested = ordinary = 0
-    disagreements = []
+    by_residue, by_polygons = [], []
     for p in primes_below(args.bound):
         if gcd(p, ds.group_order) != 1:
             continue
         verdict = diagonal.is_ordinary(ds, p).ordinary
         # the classes list residues in 1..d_n
         if verdict != ((p % res.modulus or res.modulus) in res.classes):
-            disagreements.append(p)
+            by_residue.append(p)
+        if verdict != (diagonal.newton_polygon_diag(ds, p) == hodge):
+            by_polygons.append(p)
         tested += 1
         ordinary += verdict
         bucket = per_class.setdefault(p % res.modulus, [0, 0])
@@ -73,8 +84,11 @@ def main():
     print()
     print(f"overall: {ordinary}/{tested} = {ordinary / tested:.4f} "
           f"vs predicted {float(res.density):.4f}")
-    if disagreements:
-        print(f"is_ordinary disagrees with the residue classes at p = {disagreements}")
+    if by_residue:
+        print(f"is_ordinary disagrees with the residue classes at p = {by_residue}")
+    if by_polygons:
+        print(f"is_ordinary disagrees with Newton = Hodge at p = {by_polygons}")
+    if by_residue or by_polygons:
         sys.exit(1)
 
 

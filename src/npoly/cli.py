@@ -100,10 +100,6 @@ def _fmt_rational(x: Fraction) -> str:
     return _fmt_quotient(x.numerator, x.denominator)
 
 
-def _fmt_point(p) -> list[str]:
-    return [_fmt_int(int(c)) for c in p]
-
-
 def _fmt_polygon(poly: polytope.LowerPolygon) -> dict:
     scale, points = poly._scaled_vertices()
     texts = _fmt_quotients([s for s, _ in poly.steps], scale)
@@ -166,12 +162,13 @@ def resolve_support(doc: dict) -> tuple[polytope.Support, dict]:
                 raise InputError("support vectors must be lists of length n")
             points.append(tuple(_as_int(c, "coordinate") for c in vec))
         support = polytope.Support(n, tuple(points))
-        echo = {"n": n, "support": [_fmt_point(p) for p in points]}
+        echo = {"n": n, "support": [_fmt_quotients(p) for p in points]}
     if "coefficients" in doc:
         coefficients = doc["coefficients"]
         if not isinstance(coefficients, list):
             raise InputError("'coefficients' must be a list of integers")
-        echo["coefficients"] = [_fmt_int(_as_int(c, "coefficient")) for c in coefficients]
+        echo["coefficients"] = _fmt_quotients(
+            [_as_int(c, "coefficient") for c in coefficients])
     return support, echo
 
 
@@ -203,7 +200,7 @@ def cmd_hodge(support: polytope.Support, echo: dict) -> dict:
         "normalized_volume": _fmt_int(poly.normalized_volume),
         "facets": [
             {
-                "normal": [_fmt_rational(c) for c in f.normal],
+                "normal": _fmt_quotients(f.a, f.b),
                 "denominator": _fmt_int(f.b),
                 "support_indices": list(f.vertex_indices),
             }
@@ -229,7 +226,7 @@ def cmd_diagonal(support: polytope.Support, echo: dict, p: int) -> dict:
         "input": echo,
         "p": _fmt_int(p),
         "determinant": _fmt_int(ds.det),
-        "invariant_factors": [_fmt_int(d) for d in ds.invariant_factors],
+        "invariant_factors": _fmt_quotients(ds.invariant_factors),
         "denominator": _fmt_int(ds.denominator),
         "orbits": [
             {
@@ -259,7 +256,7 @@ def cmd_ordinary_classes(support: polytope.Support, echo: dict) -> dict:
         "command": "ordinary-classes",
         "input": echo,
         "largest_invariant_factor": _fmt_int(res.modulus),
-        "classes": [_fmt_int(c) for c in res.classes],
+        "classes": _fmt_quotients(res.classes),
         "mu": _fmt_int(res.mu),
         "density": _fmt_rational(res.density),
     }
@@ -282,20 +279,18 @@ def cmd_decompose(
     for i, (fp, collapse) in enumerate(faces):
         row = {
             "face": i,
-            "normal": [_fmt_rational(c) for c in fp.facet.normal],
-            "support_points": [_fmt_point(q) for q in fp.restricted_support],
+            "normal": _fmt_quotients(fp.facet.a, fp.facet.b),
+            "support_points": [_fmt_quotients(q) for q in fp.restricted_support],
             "diagonal": fp.is_diagonal,
         }
         if fp.is_diagonal:
             # a diagonal face collapses to itself: one piece, one record
-            row["invariant_factors"] = [
-                _fmt_int(d) for d in collapse.simplices[0].invariant_factors
-            ]
+            row["invariant_factors"] = _fmt_quotients(collapse.simplices[0].invariant_factors)
         row["collapse"] = {
-            "pieces": [[_fmt_point(q) for q in piece] for piece in collapse.pieces],
-            "piece_invariant_factors": [_fmt_int(d) for d in collapse.piece_invariant_factors],
+            "pieces": [[_fmt_quotients(q) for q in piece] for piece in collapse.pieces],
+            "piece_invariant_factors": _fmt_quotients(collapse.piece_invariant_factors),
             "dstar": _fmt_int(collapse.dstar),
-            "choice_log": [_fmt_point(q) for q in collapse.choice_log],
+            "choice_log": [_fmt_quotients(q) for q in collapse.choice_log],
         }
         face_rows.append(row)
     report = {
@@ -352,7 +347,7 @@ def cmd_scan(support: polytope.Support, echo: dict, bound: int) -> dict:
             "tested": _fmt_int(tested),
             "ordinary": _fmt_int(ordinary_count),
             "predicted_density": _fmt_rational(res.density),
-            "ordinary_classes": [_fmt_int(c) for c in res.classes],
+            "ordinary_classes": _fmt_quotients(res.classes),
         },
     }
 

@@ -59,7 +59,6 @@ class GroupElement:
 @dataclass(frozen=True)
 class Orbit:
     representative: GroupElement
-    members: tuple[GroupElement, ...]
     degree: int
     slope: Fraction
 
@@ -220,11 +219,12 @@ class _GroupTable(NamedTuple):
             perm = [x * d + y for x in perm for y in digits]
         return perm
 
-    def keeps_norms(self, m: int) -> bool:
-        """Whether m*a has the norm of a for every element, walked in (norm, a)
-        order so that an unstable m stops after a few elements."""
+    def unstable(self, m: int) -> int | None:
+        """The first index, in (norm, a) order, whose image under m has another
+        norm, or None when m keeps every norm; an unstable m usually stops
+        after a few elements."""
         norms = self.norms
-        return all(norms[self.image(k, m)] == norms[k] for k in self.order)
+        return next((k for k in self.order if norms[self.image(k, m)] != norms[k]), None)
 
 
 def _check_order(ds: DiagonalSimplex, stage: str) -> None:
@@ -268,26 +268,22 @@ def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
     for k in table.order:
         if seen[k]:
             continue
-        members = []
+        representative = GroupElement(vectors[k], dn)
+        total = degree = 0
         while not seen[k]:
             seen[k] = 1
-            members.append(k)
+            total += norms[k]
+            degree += 1
             k = image[k]
-        elements = tuple([GroupElement(vectors[j], dn) for j in members])
-        if len(elements) != m_degree(elements[0], p):
+        if degree != m_degree(representative, p):
             raise BrokenInvariant("orbit size differs from the order of p")
-        found.append((sum(map(norms.__getitem__, members)), elements))
+        found.append((total, degree, representative))
     # slope = total/(d_n*degree); scaling by d_n*lcm(degrees) sorts in integers
-    scale = lcm(*(len(elements) for _, elements in found))
-    found.sort(key=lambda te: (te[0] * (scale // len(te[1])), te[1][0].a))
+    scale = lcm(*(degree for _, degree, _ in found))
+    found.sort(key=lambda tdr: (tdr[0] * (scale // tdr[1]), tdr[2].a))
     return tuple(
-        Orbit(
-            representative=elements[0],
-            members=elements,
-            degree=len(elements),
-            slope=Fraction(total, dn * len(elements)),
-        )
-        for total, elements in found
+        Orbit(representative, degree, Fraction(total, dn * degree))
+        for total, degree, representative in found
     )
 
 
@@ -366,15 +362,11 @@ def is_ordinary(ds: DiagonalSimplex, p: int) -> OrdinaryVerdict:
     """Norm stability under the p-action, with the first violator as witness."""
     if gcd(p, ds.group_order) != 1:
         raise NotCoprime(f"{p} divides the group order {pt._count_text(ds.group_order)}")
-    # p acts on the coordinates here and on the Smith coordinates in
-    # ordinary_residues: two routes that must give the same verdicts
     table = ds._table
-    dn = table.modulus
-    for k in table.order:
-        a = table.vectors[k]
-        if sum([p * x % dn for x in a]) != table.norms[k]:
-            return OrdinaryVerdict(False, GroupElement(a, dn))
-    return OrdinaryVerdict(True, None)
+    k = table.unstable(p)
+    if k is None:
+        return OrdinaryVerdict(True, None)
+    return OrdinaryVerdict(False, GroupElement(table.vectors[k], table.modulus))
 
 
 def ordinary_residues(ds: DiagonalSimplex) -> ResidueClassification:
@@ -388,7 +380,7 @@ def ordinary_residues(ds: DiagonalSimplex) -> ResidueClassification:
     table = ds._table
     dn = table.modulus
     units = [m for m in range(1, dn + 1) if gcd(m, dn) == 1]
-    stable = tuple(m for m in units if table.keeps_norms(m))
+    stable = tuple(m for m in units if table.unstable(m) is None)
     return ResidueClassification(dn, stable, len(stable), Fraction(len(stable), len(units)))
 
 

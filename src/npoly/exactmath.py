@@ -1,19 +1,19 @@
 """Exact integer and rational linear algebra for small dense systems.
 
 One fraction-free (Bareiss) row echelon does the elimination:
-determinants, ranks, one-dimensional kernels and rational solves are read
-off it in Python's arbitrary-precision integers. Its Gauss-Jordan form,
-eliminating above the pivots too, gives `adjugate` (and so unimodular
-inverses) in one pass. Rational rows have their denominators cleared
-first, and ``fractions.Fraction`` only appears in rational results. No
-floating point is used anywhere.
+determinants and ranks are read off it in Python's arbitrary-precision
+integers. Its Gauss-Jordan form, eliminating above the pivots too, gives
+`adjugate` in one pass, and so rational solves and unimodular inverses.
+Rational rows have their denominators cleared first, and
+``fractions.Fraction`` only appears in rational results. No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .errors import BrokenInvariant, DegenerateMatrix
@@ -148,51 +148,6 @@ def rational_rank(vectors) -> int:
     return len(_echelon([_integer_row(v) for v in vectors])[1])
 
 
-def kernel_vector(rows) -> LatticePoint | None:
-    """Primitive integer vector spanning the kernel of an integer or rational
-    matrix, by integer back-substitution on its echelon form.
-
-    None unless the kernel is one-dimensional. The last nonzero entry is
-    positive, so a solution x/t read off (x, t) has t > 0.
-    """
-    ncols = len(rows[0])
-    echelon, pivots, _ = _echelon([_integer_row(r) for r in rows])
-    if len(pivots) != ncols - 1:
-        return None
-    x = [0] * ncols
-    x[sum(range(ncols)) - sum(pivots)] = 1  # the one column without a pivot
-    for row, c in zip(reversed(echelon), reversed(pivots)):
-        s = sum(map(mul, row, x))  # x[c] is still 0
-        g = gcd(s, row[c])
-        scale = row[c] // g
-        if scale != 1:
-            x = [v * scale for v in x]
-        x[c] = -s // g
-    g = gcd(*x)
-    if next(v for v in reversed(x) if v) < 0:
-        g = -g
-    return tuple(v // g for v in x)
-
-
-def _solve(m: IntMatrix, u) -> tuple[LatticePoint, int]:
-    """Numerators x and denominator t > 0 of the solution x/t of M*r = u,
-    read off the one-dimensional kernel (x, t) of [M | -u]."""
-    if not m.is_square:
-        raise DegenerateMatrix("system matrix must be square")
-    if len(u) != m.rows:
-        raise DegenerateMatrix("right-hand side has wrong length")
-    k = kernel_vector([row + (-c,) for row, c in zip(m.entries, u)])
-    if k is None or k[-1] == 0:
-        raise DegenerateMatrix("singular system matrix")
-    return k[:-1], k[-1]
-
-
-def solve_unique(m: IntMatrix, u) -> RationalVector:
-    """Unique rational solution of M*r = u for nonsingular M."""
-    x, t = _solve(m, u)
-    return tuple(Fraction(v, t) for v in x)
-
-
 def adjugate(rows) -> tuple[list[list[int]], int]:
     """Adjugate and determinant of a nonsingular square integer matrix B.
 
@@ -222,6 +177,19 @@ def adjugate(rows) -> tuple[list[list[int]], int]:
                 a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
         prev = p
     return [[sign * x for x in row[n:]] for row in a], sign * prev
+
+
+def solve_unique(m: IntMatrix, u) -> RationalVector:
+    """Unique rational solution adj(M)*u / det M of M*r = u for nonsingular M."""
+    if not m.is_square:
+        raise DegenerateMatrix("system matrix must be square")
+    if len(u) != m.rows:
+        raise DegenerateMatrix("right-hand side has wrong length")
+    try:
+        adj, det = adjugate(m.entries)
+    except DegenerateMatrix as exc:
+        raise DegenerateMatrix("singular system matrix") from exc
+    return tuple(Fraction(sum(map(mul, row, u)), det) for row in adj)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

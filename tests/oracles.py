@@ -4,6 +4,9 @@ The library reads facets and vertices off one double-description
 extreme-ray enumerator (`polytope._extreme_rays`). The routes here get the
 same data another way and are used only by the tests:
 
+- `kernel_vector`: the primitive integer kernel vector of a matrix with a
+  one-dimensional kernel, by back-substitution on `exactmath`'s echelon
+  form; the sweeps below take one per subset;
 - `sweep_extreme_rays`: the same extreme rays from the kernels of all
   (N-1)-row subsets;
 - `sweep_cone`: those rays in the enumerator's form, with their tight rows
@@ -16,7 +19,8 @@ same data another way and are used only by the tests:
 - `group`, `orbits`, `is_ordinary`, `ordinary_residues` and
   `hodge_counts_diag`: the diagonal group as sorted `GroupElement`s and the
   p-action as one tuple per element per step, against the library's integer
-  table indexed by Smith coordinates;
+  table indexed by Smith coordinates, whose one index map
+  (`_GroupTable.image`) serves `is_ordinary` and `ordinary_residues` alike;
 - `check_table`: the per-element distinctness and closure walks over that
   table, which the library replaces by checks on the Smith form and its
   generators;
@@ -36,6 +40,32 @@ from npoly import polytope as pt
 from npoly.errors import BrokenInvariant, DegenerateInput, NotCoprime, NotIndecomposable
 
 
+def kernel_vector(rows) -> tuple[int, ...] | None:
+    """Primitive integer vector spanning the kernel of an integer or rational
+    matrix, by integer back-substitution on its echelon form.
+
+    None unless the kernel is one-dimensional. The last nonzero entry is
+    positive, so a solution x/t read off (x, t) has t > 0.
+    """
+    ncols = len(rows[0])
+    echelon, pivots, _ = xm._echelon([xm._integer_row(r) for r in rows])
+    if len(pivots) != ncols - 1:
+        return None
+    x = [0] * ncols
+    x[sum(range(ncols)) - sum(pivots)] = 1  # the one column without a pivot
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        s = sum(map(mul, row, x))  # x[c] is still 0
+        g = gcd(s, row[c])
+        scale = row[c] // g
+        if scale != 1:
+            x = [v * scale for v in x]
+        x[c] = -s // g
+    g = gcd(*x)
+    if next(v for v in reversed(x) if v) < 0:
+        g = -g
+    return tuple(v // g for v in x)
+
+
 def sweep_extreme_rays(rows):
     """Extreme rays of the cone {z : G.z <= 0} for integer rows G in Z^N.
 
@@ -45,7 +75,7 @@ def sweep_extreme_rays(rows):
     """
     found = set()
     for subset in itertools.combinations(rows, len(rows[0]) - 1):
-        z = xm.kernel_vector(subset)
+        z = kernel_vector(subset)
         if z is None:
             continue
         sides = [sum(map(mul, row, z)) for row in rows]
@@ -86,7 +116,7 @@ def difference_facets(points):
     found = {}
     for subset in itertools.combinations(pts, d):
         base = subset[0]
-        a = xm.kernel_vector([[x - y for x, y in zip(p, base)] for p in subset[1:]])
+        a = kernel_vector([[x - y for x, y in zip(p, base)] for p in subset[1:]])
         if a is None:
             continue
         b = pt._dot(a, base)
@@ -129,7 +159,7 @@ def lp_min_sum(generators, u) -> Fraction | None:
         return None  # u outside the linear span of the generators
     best = None  # (sum of numerators, positive denominator)
     for subset in itertools.combinations(range(count), len(pivots)):
-        k = xm.kernel_vector([[row[j] for j in subset] + [row[count]] for row in rows])
+        k = kernel_vector([[row[j] for j in subset] + [row[count]] for row in rows])
         if k is None or k[-1] == 0 or min(k) < 0:
             continue
         total = (sum(k) - k[-1], k[-1])
@@ -239,20 +269,15 @@ def orbits(ds, p):
         while cur in remaining:
             members.append(remaining.pop(cur))
             cur = tuple([p * x % dn for x in cur])
-        if len(members) != dg.m_degree(members[0], p):
+        if len(members) != dg.m_degree(e, p):
             raise BrokenInvariant("orbit size differs from the order of p")
-        found.append((sum(sum(m.a) for m in members), members))
+        found.append((sum(sum(m.a) for m in members), len(members), e))
     # slope = total/(d_n*degree); scaling by d_n*lcm(degrees) sorts in integers
-    scale = lcm(*(len(members) for _, members in found))
-    found.sort(key=lambda tm: (tm[0] * (scale // len(tm[1])), tm[1][0].a))
+    scale = lcm(*(degree for _, degree, _ in found))
+    found.sort(key=lambda tde: (tde[0] * (scale // tde[1]), tde[2].a))
     return tuple(
-        dg.Orbit(
-            representative=members[0],
-            members=tuple(members),
-            degree=len(members),
-            slope=Fraction(total, dn * len(members)),
-        )
-        for total, members in found
+        dg.Orbit(representative=e, degree=degree, slope=Fraction(total, dn * degree))
+        for total, degree, e in found
     )
 
 

@@ -174,6 +174,37 @@ class TestOrbits:
             dg.orbits(five_dim, 3)
 
 
+class TestElementsBuilt:
+    """The p-action walks table indices: `orbits` builds one `GroupElement` per
+    orbit, its representative, and `is_ordinary` at most one, its witness."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        element = dg.GroupElement
+
+        def counted(*args):
+            built.append(args)
+            return element(*args)
+
+        monkeypatch.setattr(dg, "GroupElement", counted)
+        return built
+
+    def test_one_per_orbit(self, built):
+        ds = dg.DiagonalSimplex.from_matrix(four_dim_matrix(3, 2))
+        assert ds._table and not built
+        orbs = dg.orbits(ds, 5)
+        assert (len(orbs), ds.group_order) == (8, 27)
+        assert len(built) == len(orbs)
+
+    def test_at_most_one_per_verdict(self, built):
+        ds = dg.DiagonalSimplex.from_matrix(four_dim_matrix(3, 2))
+        assert not dg.is_ordinary(ds, 5).ordinary
+        assert len(built) == 1
+        assert dg.is_ordinary(ds, 19).ordinary
+        assert len(built) == 1
+
+
 class TestDigitSums:
     def test_zero(self):
         assert dg.stickelberger_ord(0, 5) == 0

@@ -3,9 +3,12 @@
 `DiagonalSimplex` keeps the group as one table indexed by Smith coordinates,
 and the p-action as a map on those indices. `tests/oracles.py` keeps the
 former route: sorted `GroupElement`s, acted on one tuple at a time. Every
-result is compared: the group, the orbits (representatives, member order,
-degrees, slopes), the ordinariness verdict with its witness, the ordinary
-residue classes and the Hodge counts. The table itself is walked element by
+result is compared: the group, the orbits (representatives, degrees,
+slopes), the ordinariness verdict with its witness, the ordinary residue
+classes and the Hodge counts. The verdict is also checked against the
+polygons: the Newton polygon equals the Hodge polygon exactly when every
+orbit keeps one norm, since averaging unequal norms over an orbit lowers
+the sum of the squared slopes. The table itself is walked element by
 element (`oracles.check_table`): the library checks only the Smith form and
 its generators, so these walks guard the mixed-radix construction.
 
@@ -86,7 +89,9 @@ def assert_table_matches_oracles(ds, m):
     assert ds.group == oracles.group(ds)
     assert len(ds.group) == ds.group_order
     assert dg.orbits(ds, m) == oracles.orbits(ds, m)
-    assert dg.is_ordinary(ds, m) == oracles.is_ordinary(ds, m)
+    verdict = dg.is_ordinary(ds, m)
+    assert verdict == oracles.is_ordinary(ds, m)
+    assert verdict.ordinary == (dg.newton_polygon_diag(ds, m) == dg.hodge_polygon_diag(ds))
     assert dg.ordinary_residues(ds) == oracles.ordinary_residues(ds)
     counts = dg.hodge_counts_diag(ds)
     assert list(counts.items()) == list(oracles.hodge_counts_diag(ds).items())

@@ -475,14 +475,14 @@ class TestIndependentOracles:
         )
         for p in (3, 11, 13):
             for orbit in dg.orbits(ds, p):
-                for member in orbit.members:
+                member = orbit.representative
+                for _ in range(orbit.degree):
                     shifted = dg.Orbit(
-                        representative=member,
-                        members=orbit.members,
-                        degree=orbit.degree,
-                        slope=orbit.slope,
+                        representative=member, degree=orbit.degree, slope=orbit.slope
                     )
                     assert dg.orbit_slope(shifted, p) == orbit.slope
+                    member = dg.m_action(member, p)
+                assert member == orbit.representative
 
 
 def test_denominator_attained_on_named_cases():
