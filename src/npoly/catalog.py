@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from . import decompose as dc
 from . import diagonal as dg
@@ -26,6 +26,29 @@ class NamedFamily:
     parameters: tuple[tuple[str, object], ...]
     support: pt.Support
     expected_facts: tuple[Fact, ...]
+
+
+def _refuse(count: int, what: str) -> None:
+    """Refuse a family whose builder would enumerate `count` items past the
+    budget, before it builds anything."""
+    if count > pt.ENUMERATION_LIMIT:
+        raise DegenerateInput(f"{pt._count_text(count)} {what} are too many at stage family")
+
+
+def _refuse_power(base: int, exp: int, what: str) -> None:
+    """`_refuse` for base**exp items, base >= 2, named as that power. The
+    power passes the budget once exp reaches the budget's bit length, so no
+    huge power is built."""
+    if exp >= pt.ENUMERATION_LIMIT.bit_length() or base**exp > pt.ENUMERATION_LIMIT:
+        raise DegenerateInput(f"{pt._count_text(base)}**{pt._count_text(exp)} {what} "
+                              "are too many at stage family")
+
+
+def _product(factors) -> int:
+    """Product by halves: a running product of many factors is quadratic."""
+    while len(factors) > 1:
+        factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
 
 
 def _unit(i: int, n: int) -> tuple[int, ...]:
@@ -66,6 +89,7 @@ def _kloosterman(params):
     n = _int(params["n"], "n")
     if n < 1:
         raise DegenerateInput("dimension must be positive")
+    _refuse((n + 1) * n, "coordinates")
     points = tuple(_unit(i, n) for i in range(n)) + ((-1,) * n,)
     support = pt.Support(n, points)
     return support, (
@@ -81,6 +105,7 @@ def _generalized_kloosterman(params):
     v = _intlist(params["v"], "v")
     if len(v) != n:
         raise DegenerateInput("v must have length n")
+    _refuse((n + 1) * n, "coordinates")
     points = tuple(_unit(i, n) for i in range(n)) + (tuple(-c for c in v),)
     support = pt.Support(n, points)
     return support, (
@@ -97,6 +122,7 @@ def _two_sided(params):
     v = _intlist(params["v"], "v")
     if len(u) != n or len(v) != n:
         raise DegenerateInput("u and v must have length n")
+    _refuse((n + 1) * n, "coordinates")
     points = tuple(tuple(u[i] * c for c in _unit(i, n)) for i in range(n))
     points += (tuple(-c for c in v),)
     support = pt.Support(n, points)
@@ -108,6 +134,7 @@ def _inverted(params):
     v = _intlist(params["v"], "v")
     if len(v) != n:
         raise DegenerateInput("v must have length n")
+    _refuse((n + 1) * n, "coordinates")
     points = tuple(_unit(i, n) for i in range(n)) + (tuple(v),)
     if points[-1] in points[:-1]:
         raise DegenerateInput("v coincides with a unit vector")
@@ -123,6 +150,8 @@ def _bi_kloosterman(params):
     v = _intlist(params["v"], "v")
     if len(u) != n or len(v) != n:
         raise DegenerateInput("u and v must have length n")
+    _refuse((2 * n + 2) * n, "coordinates")
+    _refuse_power(2, n, "sign vectors")  # for _bi_kloosterman_degree
     points = tuple(_unit(i, n) for i in range(n))
     points += tuple(tuple(-c for c in _unit(i, n)) for i in range(n))
     points += (tuple(-c for c in u), tuple(v))
@@ -164,6 +193,7 @@ def _bi_kloosterman_degree(n, u, v):
 def _box(params):
     dims = _intlist(params["dims"], "dims")
     n = len(dims)
+    _refuse(_product([d + 1 for d in dims]) * (n + 1), "coordinates")
     points = tuple(
         tuple(c) + (1,)
         for c in itertools.product(*(range(d + 1) for d in dims))
@@ -185,6 +215,8 @@ def _dilated_simplex(params):
     height = _int(params.get("D", 1), "D")
     if n < 1 or d < 1 or height < 1:
         raise DegenerateInput("need n, d, D >= 1")
+    _refuse_power(d + 1, n, "candidate points")
+    _refuse(comb(n + d, n) * (n + 1), "coordinates")
     points = []
     for c in itertools.product(range(d + 1), repeat=n):
         if sum(c) <= d:
@@ -226,6 +258,7 @@ def _extend_dim(params):
     n = _int(params["n"], "n")
     if n < 6:
         raise DegenerateInput("extension only makes sense for n >= 6")
+    _refuse(n * n, "coordinates")
     cols = [c + (0,) * (n - 5) for c in _FIVE_DIM]
     cols += [(1, 0, 0, 0, 0) + _unit(j, n - 5) for j in range(n - 5)]
     support = pt.Support(n, tuple(cols))
@@ -238,6 +271,7 @@ def _four_dim(params):
     k = _int(params["k"], "k")
     if big_d < 2 or k < 2:
         raise DegenerateInput("need D >= 2 and k >= 2")
+    _refuse(k * big_d.bit_length(), "bits of D**k")
     cols = ((big_d, 0, 0, 0), (big_d, 1, 0, 0), (big_d, 1, 1, 0),
             (big_d, 0, -1, big_d**k))
     support = pt.Support(4, cols)

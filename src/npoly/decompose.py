@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from . import diagonal as dg
 from . import exactmath as xm
@@ -113,7 +113,7 @@ def ordinary_via_faces(support: pt.Support, p: int) -> FacialVerdict:
                 xm.IntMatrix.from_columns(fp.restricted_support)
             )
             if gcd(p, ds.group_order) != 1:
-                raise NotCoprime(f"{p} divides the determinant of face {i}", face=i)
+                raise NotCoprime(f"{p} divides the determinant of face {i}")
             simplices[i] = ds
     if non_diagonal:
         moduli = []
@@ -285,9 +285,7 @@ def generic_ordinary_certificate(
         failing = None
         for j, ds in enumerate(collapse.simplices):
             if gcd(p, ds.group_order) != 1:
-                raise NotCoprime(
-                    f"{p} divides the determinant of piece {j} of face {i}", face=i
-                )
+                raise NotCoprime(f"{p} divides the determinant of piece {j} of face {i}")
             ok = dg.is_ordinary(ds, p).ordinary
             verdicts.append(ok)
             if not ok and failing is None:
@@ -402,10 +400,16 @@ def regular_subdivision(n: int, d: int) -> tuple[tuple[LatticePoint, ...], ...]:
     In cumulative coordinates the dilation is cut by all integer-offset
     difference hyperplanes; the closed cells are indexed by an integer
     translation plus an ordering of the fractional parts, and each is an
-    integral simplex of determinant one. Exactly d**n cells survive.
+    integral simplex of determinant one. Exactly d**n cells survive of the
+    d**n * n! candidates, which are refused past the enumeration budget.
     """
     if n < 1 or d < 1:
         raise DegenerateInput("need n >= 1 and d >= 1")
+    # n! >= 2**(n - 1) passes the budget past its bit length: no huge power
+    if n > pt.ENUMERATION_LIMIT.bit_length() or d**n * factorial(n) > pt.ENUMERATION_LIMIT:
+        n_text = pt._count_text(n)
+        raise DegenerateInput(f"{pt._count_text(d)}**{n_text} * {n_text}! candidate cells "
+                              "are too many at stage subdivision")
     cells = []
     for m in itertools.product(range(d), repeat=n):
         for perm in itertools.permutations(range(n)):

@@ -20,10 +20,6 @@ class NotFullDimensional(NpolyError):
 class NotCoprime(NpolyError):
     """Acting integer shares a factor with the relevant group order."""
 
-    def __init__(self, message: str, face: int | None = None):
-        super().__init__(message)
-        self.face = face
-
 
 class NotIndecomposable(NpolyError):
     """Simplex face carries lattice points other than its vertices."""

@@ -1,12 +1,12 @@
 """Exact integer and rational linear algebra for small dense systems.
 
-One fraction-free (Bareiss) row echelon does the elimination:
-determinants and ranks are read off it in Python's arbitrary-precision
-integers. Its Gauss-Jordan form, eliminating above the pivots too, gives
-`adjugate` in one pass, and so rational solves and unimodular inverses.
-Rational rows have their denominators cleared first, and
-``fractions.Fraction`` only appears in rational results. No floating
-point is used anywhere.
+One fraction-free (Bareiss) Gauss-Jordan elimination, which clears each
+pivot column above the pivot as well as below it, does all the
+elimination in Python's arbitrary-precision integers: determinants and
+ranks are read off its pivots, and `adjugate`, and so rational solves and
+unimodular inverses, off the right half of [B | I]. Rational rows have
+their denominators cleared first, and ``fractions.Fraction`` only appears
+in rational results. No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -103,11 +103,13 @@ def _integer_row(row) -> list[int]:
 
 
 def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free (Bareiss) row echelon form of an integer matrix.
+    """Fraction-free (Bareiss) Gauss-Jordan form of an integer matrix.
 
-    Returns (rows, pivots, sign): the nonzero echelon rows, their increasing
-    pivot columns and the sign of the row permutation. Columns without a
-    pivot are skipped. Every entry stays a minor of the input (Sylvester's
+    Returns (rows, pivots, sign): the nonzero rows, their increasing pivot
+    columns and the sign of the row permutation. Columns without a pivot
+    are skipped, and each pivot column is cleared above the pivot as well
+    as below it, so the rows are d times the reduced row echelon form, d
+    the last pivot. Every entry stays a minor of the input (Sylvester's
     identity), so each division is exact, and the last pivot of a
     nonsingular square matrix is its determinant up to that sign.
     """
@@ -125,18 +127,19 @@ def _echelon(rows) -> tuple[list[list[int]], list[int], int]:
                 continue
             a[r], a[k] = a[k], a[r]
             sign = -sign
-        top = a[r][c:]
-        p = top[0]
-        for row in a[r + 1:]:
-            f = row[c]
-            row[c:] = [(x * p - f * y) // prev for x, y in zip(row[c:], top)]
+        top = a[r]
+        p = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
         prev = p
         pivots.append(c)
     return a[: len(pivots)], pivots, sign
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant: the last pivot of the fraction-free echelon."""
+    """Exact determinant: the last pivot of the fraction-free elimination."""
     if not m.is_square:
         raise DegenerateMatrix("determinant requires a square matrix")
     rows, pivots, sign = _echelon(m.entries)
@@ -151,32 +154,21 @@ def rational_rank(vectors) -> int:
 def adjugate(rows) -> tuple[list[list[int]], int]:
     """Adjugate and determinant of a nonsingular square integer matrix B.
 
-    One fraction-free Gauss-Jordan elimination of [B | I], which clears each
-    pivot column above the pivot as well as below it, ends at
-    [d*I | d*B^-1] with d = +-det B; every entry stays a minor of the
-    input, so each division is exact. adj B = det B * B^-1 is the right
-    half up to the sign of the row permutation.
+    The Gauss-Jordan form of [B | I] is [d*I | d*B^-1] with d = +-det B
+    its last pivot, and B is singular exactly when a pivot lands in the
+    right half. adj B = det B * B^-1 is the right half up to the sign of
+    the row permutation.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise DegenerateMatrix("adjugate requires a square matrix")
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign = prev = 1
-    for c in range(n):
-        if not a[c][c]:
-            k = next((i for i in range(c + 1, n) if a[i][c]), None)
-            if k is None:
-                raise DegenerateMatrix("singular matrix has no adjugate here")
-            a[c], a[k] = a[k], a[c]
-            sign = -sign
-        top = a[c]
-        p = top[c]
-        for i, row in enumerate(a):
-            if i != c:
-                f = row[c]
-                a[i] = [(x * p - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    return [[sign * x for x in row[n:]] for row in a], sign * prev
+    a, pivots, sign = _echelon(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    )
+    if pivots != list(range(n)):
+        raise DegenerateMatrix("singular matrix has no adjugate here")
+    det = sign * a[-1][n - 1] if n else 1
+    return [[sign * x for x in row[n:]] for row in a], det
 
 
 def solve_unique(m: IntMatrix, u) -> RationalVector:

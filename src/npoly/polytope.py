@@ -18,8 +18,8 @@ from math import comb, gcd, lcm
 from operator import and_, mul
 
 from . import exactmath as xm
-from .errors import (BrokenInvariant, DegenerateInput, DegenerateMatrix,
-                     IncomparablePolygons, NotFullDimensional)
+from .errors import (BrokenInvariant, DegenerateInput, IncomparablePolygons,
+                     NotFullDimensional)
 
 LatticePoint = xm.LatticePoint
 
@@ -112,26 +112,29 @@ def _extreme_rays(rows) -> list[tuple[LatticePoint, int]] | None:
     """Extreme rays of the cone {z : G.z <= 0} for integer rows G in Z^N.
 
     Double description (Motzkin et al. 1953; Fukuda and Prodon 1996), in
-    integers. The first N independent rows cut out a simplicial cone whose
-    rays are the columns of -sign(det B) adj B. Each remaining row g keeps
-    the rays with g.z <= 0 and adds the combination |g.q| p + (g.p) q of
-    every adjacent pair with g.p > 0 > g.q; p and q are adjacent when no
-    third ray is tight on every row where both are (tight sets are int
-    bitmasks). Returns sorted (ray, mask) pairs, bit i of the primitive
-    ray's mask set when row i is tight on it; None for rows of rank < N.
-    Facets of a hull with their point incidences, and vertices of an
-    inequality system, are both read off this cone.
+    integers. The first N independent rows B cut out a simplicial cone whose
+    rays are the columns of -sign(det B) adj B; one fraction-free
+    Gauss-Jordan elimination of [G^T | I] finds B as its pivot columns and
+    these rays, up to positive scale, as the rows of its right half. Each
+    remaining row g keeps the rays with g.z <= 0 and adds the combination
+    |g.q| p + (g.p) q of every adjacent pair with g.p > 0 > g.q; p and q
+    are adjacent when no third ray is tight on every row where both are
+    (tight sets are int bitmasks). Returns sorted (ray, mask) pairs, bit i
+    of the primitive ray's mask set when row i is tight on it; None for rows
+    of rank < N. Facets of a hull with their point incidences, and vertices
+    of an inequality system, are both read off this cone.
     """
     n = len(rows[0])
-    basis = range(n) if len(rows) == n else xm._echelon(list(zip(*rows)))[1]
-    if len(basis) < n:  # all-zero rows give an empty basis
+    # the Gauss-Jordan form of [G^T | I]: its pivots left of len(G) pick the
+    # basis rows B, and its right half S = d (B^T)^-1 = +-adj(B)^T, d the last
+    # pivot, so the rows of -sign(d) S are the columns of -sign(det B) adj B
+    echelon, basis, _ = xm._echelon(
+        [list(col) + [int(i == j) for j in range(n)] for i, col in enumerate(zip(*rows))]
+    )
+    if basis[-1] >= len(rows):  # a pivot in the right half: rank < N
         return None
-    try:
-        adj, det = xm.adjugate([rows[i] for i in basis])
-    except DegenerateMatrix:  # a singular square
-        return None
-    sign = -1 if det > 0 else 1
-    rays = [_primitive([sign * c for c in col]) for col in zip(*adj)]
+    sign = -1 if echelon[-1][basis[-1]] > 0 else 1
+    rays = [_primitive([sign * c for c in row[len(rows):]]) for row in echelon]
     start = sum(1 << i for i in basis)
     tight = [start & ~(1 << i) for i in basis]  # ray j: every basis row but the j-th
     for i, g in enumerate(rows):

@@ -3,6 +3,7 @@
 import pytest
 
 from npoly import catalog
+from npoly import polytope as pt
 from npoly.errors import DegenerateInput
 
 CASES = [
@@ -64,3 +65,52 @@ def test_bad_parameters():
         catalog.make("four_dim", {"D": 1, "k": 2})
     with pytest.raises(DegenerateInput):
         catalog.make("kloosterman", {})
+
+
+# documents whose builders would enumerate past the budget, with the count
+# each refusal names: today's limit refuses them before the first point
+OVERSIZED = [
+    ("kloosterman", {"n": 20000}, "400020000 coordinates"),
+    ("generalized_kloosterman", {"n": 3000, "v": [1] * 3000}, "9003000 coordinates"),
+    ("two_sided", {"n": 3000, "u": [1] * 3000, "v": [1] * 3000}, "9003000 coordinates"),
+    ("inverted", {"n": 3000, "v": [2] * 3000}, "9003000 coordinates"),
+    ("extend_dim", {"n": 20000}, "400000000 coordinates"),
+    ("box", {"dims": [3000, 3000]}, "27018003 coordinates"),
+    ("box", {"dims": [1] * 100000}, "<100017-bit number> coordinates"),
+    ("dilated_simplex", {"n": 9, "d": 40}, "41**9 candidate points"),
+    ("dilated_simplex", {"n": 30, "d": 1}, "2**30 candidate points"),
+    ("dilated_simplex", {"n": 10**12, "d": 7}, "8**1000000000000 candidate points"),
+    ("four_dim", {"D": 10, "k": 10**8}, "400000000 bits of D**k"),
+    ("bi_kloosterman", {"n": 30, "u": [1] * 30, "v": [1] * 30}, "2**30 sign vectors"),
+]
+
+
+@pytest.mark.parametrize("name,params,count", OVERSIZED,
+                         ids=[f"{n}-{c}" for n, _, c in OVERSIZED])
+def test_oversized_family_refused_before_building(name, params, count):
+    with pytest.raises(DegenerateInput) as info:
+        catalog.make(name, params)
+    assert str(info.value) == f"{count} are too many at stage family"
+
+
+def test_family_budget_boundaries(monkeypatch):
+    # dilated_simplex n=2, d=2: 3**2 candidate points, 6 points of 3 coordinates
+    params = {"n": 2, "d": 2}
+    monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 18)
+    assert len(catalog.make("dilated_simplex", params).support.points) == 6
+    monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 17)
+    with pytest.raises(DegenerateInput, match=r"^18 coordinates are too many"):
+        catalog.make("dilated_simplex", params)
+    monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 8)
+    with pytest.raises(DegenerateInput, match=r"^3\*\*2 candidate points are too many"):
+        catalog.make("dilated_simplex", params)
+    # bi_kloosterman n=7: 2**7 sign vectors, 16 points of 7 coordinates
+    params = {"n": 7, "u": [1] * 7, "v": [1] * 7}
+    monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 128)
+    assert len(catalog.make("bi_kloosterman", params).support.points) == 16
+    monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 127)
+    with pytest.raises(DegenerateInput, match=r"^2\*\*7 sign vectors are too many"):
+        catalog.make("bi_kloosterman", params)
+    monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 111)
+    with pytest.raises(DegenerateInput, match=r"^112 coordinates are too many"):
+        catalog.make("bi_kloosterman", params)

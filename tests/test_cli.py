@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from math import gcd
 
 import pytest
@@ -12,6 +13,7 @@ from npoly import catalog, cli, diagonal, exactmath, polytope
 from npoly.errors import BrokenInvariant, DegenerateInput, NotCoprime
 from oracles import sweep_cone
 from test_catalog import CASES as CATALOG_CASES
+from test_catalog import OVERSIZED
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -464,6 +466,17 @@ class TestInputHandling:
         assert out == ""
         assert err == "error: enumeration box of 27270901 points is too large at stage hodge\n"
 
+    @pytest.mark.parametrize("name,params,count", OVERSIZED,
+                             ids=[f"{n}-{c}" for n, _, c in OVERSIZED])
+    def test_oversized_family_refused_at_once(self, name, params, count, tmp_path, capsys):
+        path = write_doc(tmp_path, {"family": {"name": name, "parameters": params}})
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["hodge", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 5
+        assert out == ""
+        assert err == f"error: {count} are too many at stage family\n"
+
     def test_oversized_hodge_table_refused(self, tmp_path, capsys):
         path = write_doc(tmp_path, HUGE_TABLE)
         for fmt in sorted(cli.RENDERERS):
@@ -481,8 +494,11 @@ class TestInputHandling:
         assert err == f"error: bound {bound} is too large at stage scan\n"
 
     def test_oversized_ray_pairing_refused(self, tmp_path, capsys, monkeypatch):
+        # box [2, 1, 2]'s points, given explicitly: at this limit the family
+        # itself would be refused, at stage family
+        box = catalog.make("box", {"dims": [2, 1, 2]}).support
+        path = write_doc(tmp_path, {"n": box.dim, "support": [list(p) for p in box.points]})
         monkeypatch.setattr(polytope, "ENUMERATION_LIMIT", 3)
-        path = write_doc(tmp_path, BOX_212)
         for command in (["hodge"], ["decompose"]):
             code, out, err = run_cli(capsys, command + [path])
             assert code == 2

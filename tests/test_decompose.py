@@ -1,5 +1,6 @@
 """Unit tests for facial, collapsing, and hyperplane decompositions."""
 
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -345,6 +346,21 @@ class TestRegularSubdivision:
             assert abs(det) == 1
             total += abs(det)
         assert total == d**n
+
+    def test_candidates_past_budget_refused_at_once(self, monkeypatch):
+        start = time.perf_counter()
+        with pytest.raises(DegenerateInput, match=r"^6\*\*8 \* 8! candidate cells are too many "
+                                                  r"at stage subdivision$"):
+            dc.regular_subdivision(8, 6)
+        with pytest.raises(DegenerateInput, match=r"^2\*\*1000000000 \* 1000000000! "):
+            dc.regular_subdivision(10**9, 2)
+        assert time.perf_counter() - start < 1.0
+        # (3, 3): 3**3 * 3! = 162 candidate cells
+        monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 162)
+        assert len(dc.regular_subdivision(3, 3)) == 27
+        monkeypatch.setattr(pt, "ENUMERATION_LIMIT", 161)
+        with pytest.raises(DegenerateInput, match=r"^3\*\*3 \* 3! candidate cells"):
+            dc.regular_subdivision(3, 3)
 
     def test_cells_inside_dilation(self):
         d = 3

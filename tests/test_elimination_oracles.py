@@ -54,6 +54,17 @@ def fraction_echelon(rows):
     return out
 
 
+def fraction_rref(rows):
+    """Reduced row echelon form over the rationals: (nonzero rows, pivots)."""
+    out = fraction_echelon(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in out]
+    for k, (row, c) in enumerate(zip(out, pivots)):
+        for other in out[:k]:
+            f = other[c]
+            other[:] = [x - f * y for x, y in zip(other, row)]
+    return out, pivots
+
+
 def fraction_solve(a, b):
     """Gauss-Jordan solve of a square rational system; None when singular."""
     n = len(a)
@@ -134,6 +145,17 @@ square_int = st.integers(1, 4).flatmap(lambda n: matrices(n, n, rational=False))
 
 
 @st.composite
+def padded_int_matrices(draw):
+    """Integer `matrices` with up to two more rows, each zero or a copy of a
+    row, inserted anywhere."""
+    rows = draw(matrices(rational=False))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.sampled_from([(0,) * len(rows[0])] + rows))
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@st.composite
 def unimodular(draw):
     """Products of elementary integer row operations on the identity."""
     n = draw(st.integers(1, 4))
@@ -152,6 +174,18 @@ def unimodular(draw):
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_fraction_echelon(rows):
     assert xm.rational_rank(rows) == len(fraction_echelon(rows))
+
+
+@given(padded_int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_echelon_is_scaled_reduced_row_echelon(rows):
+    """The one elimination is Gauss-Jordan: its rows are d times the reduced
+    row echelon form, d the last pivot, with the same pivot columns."""
+    echelon, pivots, _ = xm._echelon(rows)
+    expected, expected_pivots = fraction_rref(rows)
+    assert pivots == expected_pivots
+    d = echelon[-1][pivots[-1]] if pivots else 1
+    assert echelon == [[d * x for x in row] for row in expected]
 
 
 @given(square_int)

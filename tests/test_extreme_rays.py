@@ -9,6 +9,7 @@ it. Rows of rank below N give None.
 
 from operator import mul
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -70,3 +71,20 @@ def test_extreme_rays_match_subset_sweep(rows):
     assert [z for z, _ in found] == sweep_extreme_rays(rows)
     for z, mask in found:
         assert mask == sum(1 << i for i, g in enumerate(rows) if sum(map(mul, g, z)) == 0)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 0), (0, 1), (1, 1)],  # more rows than N
+    [(0, 0), (2, 0), (0, 3)],  # a simplex: as many rows as N
+])
+def test_one_elimination_per_hull(points, monkeypatch):
+    """The basis rows and the rays of their cone come off one Gauss-Jordan
+    elimination of [G^T | I]; no adjugate is taken on the side."""
+    calls = []
+    echelon = xm._echelon
+    monkeypatch.setattr(xm, "_echelon", lambda rows: calls.append("_echelon") or echelon(rows))
+    adjugate = xm.adjugate
+    monkeypatch.setattr(xm, "adjugate", lambda rows: calls.append("adjugate") or adjugate(rows))
+    facets = pt.affine_facets(points)
+    assert len(facets) == len(points)
+    assert calls == ["_echelon"]
