@@ -29,7 +29,8 @@ def tour_five_dim():
     print("invariant factors:", ds.invariant_factors)
     print("group elements (coordinates, norm):")
     for e in ds.group:
-        print("   ", tuple(str(x) for x in e.r), "norm", e.norm)
+        r = tuple(str(Fraction(x, e.modulus)) for x in e.a)
+        print("   ", r, "norm", Fraction(sum(e.a), e.modulus))
     hp = diagonal.hodge_polygon_diag(ds)
     print("lower-bound slopes:", polygon_str(hp))
     for p in (7, 5):

@@ -1,6 +1,6 @@
 """Exact Hodge and Newton polygons for exponential sums over finite fields."""
 
-from .exactmath import IntMatrix, SnfResult, determinant, snf, solve_unique
+from .exactmath import IntMatrix, SnfResult, determinant, snf
 from .polytope import (
     Dominance,
     LowerPolygon,
@@ -15,14 +15,10 @@ from .diagonal import (
     Orbit,
     hodge_polygon_diag,
     is_ordinary,
-    m_action,
     m_degree,
     newton_polygon_diag,
-    orbit_slope,
     orbits,
     ordinary_residues,
-    slope_from_digit_sums,
-    stickelberger_ord,
 )
 from .decompose import (
     CollapseResult,
@@ -43,7 +39,6 @@ __all__ = [
     "SnfResult",
     "determinant",
     "snf",
-    "solve_unique",
     "Dominance",
     "LowerPolygon",
     "NewtonPolyhedron",
@@ -55,14 +50,10 @@ __all__ = [
     "Orbit",
     "hodge_polygon_diag",
     "is_ordinary",
-    "m_action",
     "m_degree",
     "newton_polygon_diag",
-    "orbit_slope",
     "orbits",
     "ordinary_residues",
-    "slope_from_digit_sums",
-    "stickelberger_ord",
     "CollapseResult",
     "admissible_check",
     "collapse_step",

@@ -56,17 +56,15 @@ def _unit(i: int, n: int) -> tuple[int, ...]:
 
 
 def _int(value, name: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise DegenerateInput(f"{name} must be an integer") from exc
+    if type(value) is not int:  # a bool or a float is refused, not rounded
+        raise DegenerateInput(f"{name} must be an integer")
+    return value
 
 
 def _intlist(value, name: str) -> tuple[int, ...]:
-    try:
-        out = tuple(int(v) for v in value)
-    except TypeError as exc:
-        raise DegenerateInput(f"{name} must be a list of integers") from exc
+    if not isinstance(value, (list, tuple)) or any(type(v) is not int for v in value):
+        raise DegenerateInput(f"{name} must be a list of integers")
+    out = tuple(value)
     if not out or any(v < 1 for v in out):
         raise DegenerateInput(f"{name} must be positive integers")
     return out
@@ -282,18 +280,19 @@ def _four_dim(params):
     )
 
 
+# each family's builder and the parameter names it takes
 _BUILDERS = {
-    "monomial": _monomial,
-    "kloosterman": _kloosterman,
-    "generalized_kloosterman": _generalized_kloosterman,
-    "two_sided": _two_sided,
-    "inverted": _inverted,
-    "bi_kloosterman": _bi_kloosterman,
-    "box": _box,
-    "dilated_simplex": _dilated_simplex,
-    "five_dim": _five_dim,
-    "extend_dim": _extend_dim,
-    "four_dim": _four_dim,
+    "monomial": (_monomial, ("d",)),
+    "kloosterman": (_kloosterman, ("n",)),
+    "generalized_kloosterman": (_generalized_kloosterman, ("n", "v")),
+    "two_sided": (_two_sided, ("n", "u", "v")),
+    "inverted": (_inverted, ("n", "v")),
+    "bi_kloosterman": (_bi_kloosterman, ("n", "u", "v")),
+    "box": (_box, ("dims",)),
+    "dilated_simplex": (_dilated_simplex, ("n", "d", "D")),
+    "five_dim": (_five_dim, ()),
+    "extend_dim": (_extend_dim, ("n",)),
+    "four_dim": (_four_dim, ("D", "k")),
 }
 
 FAMILY_NAMES = tuple(sorted(_BUILDERS))
@@ -303,8 +302,12 @@ def make(name: str, parameters=None) -> NamedFamily:
     params = dict(parameters or {})
     if not isinstance(name, str) or name not in _BUILDERS:
         raise DegenerateInput(f"unknown family {name!r}; known: {FAMILY_NAMES}")
+    builder, names = _BUILDERS[name]
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise DegenerateInput(f"family {name!r} has no parameter {unknown[0]!r}; known: {names}")
     try:
-        support, facts = _BUILDERS[name](params)
+        support, facts = builder(params)
     except KeyError as exc:
         raise DegenerateInput(f"family {name!r} is missing parameter {exc}") from exc
     return NamedFamily(

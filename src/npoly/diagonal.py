@@ -8,6 +8,8 @@ exact p-adic valuations of the reciprocal zeros of the associated
 L-function, with each orbit of size d contributing its mean coordinate-sum
 as a slope of multiplicity d. Norm stability under the p-action is
 equivalent to the valuations meeting their combinatorial lower bound.
+Stickelberger's theorem gives the same slopes from base-p digit sums; that
+route is an independent oracle in the tests, not a path of this module.
 
 The group is read off one Smith form P*M*Q = D, and its checks cost O(n^2)
 per invariant factor rather than a walk over every element. `exactmath.snf`
@@ -37,19 +39,11 @@ from .errors import (BrokenInvariant, DegenerateInput, DegenerateMatrix, NotCopr
 
 @dataclass(frozen=True, order=True)
 class GroupElement:
-    """One solution r = a/d_n of M*r = 0 (mod 1), with 0 <= a_i < d_n = modulus;
-    the coordinates r, their sum and the order are derived views."""
+    """One solution r = a/d_n of M*r = 0 (mod 1), held as integers only: the
+    numerators 0 <= a_i < d_n and the modulus d_n; its order is derived."""
 
     a: tuple[int, ...]
     modulus: int
-
-    @property
-    def r(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.modulus) for x in self.a)
-
-    @property
-    def norm(self) -> Fraction:
-        return Fraction(sum(self.a), self.modulus)
 
     @property
     def order(self) -> int:
@@ -235,14 +229,6 @@ def _check_order(ds: DiagonalSimplex, stage: str) -> None:
         )
 
 
-def m_action(element: GroupElement, m: int) -> GroupElement:
-    """Componentwise m*a mod d_n; needs m coprime to the order."""
-    if gcd(m, element.order) != 1:
-        raise NotCoprime(f"{m} shares a factor with the element order {element.order}")
-    d = element.modulus
-    return GroupElement(tuple(m * x % d for x in element.a), d)
-
-
 def m_degree(element: GroupElement, m: int) -> int:
     """Smallest d >= 1 with (m**d - 1)*r integral: the order of m mod order(r)."""
     order = element.order
@@ -285,51 +271,6 @@ def orbits(ds: DiagonalSimplex, p: int) -> tuple[Orbit, ...]:
         Orbit(representative, degree, Fraction(total, dn * degree))
         for total, degree, representative in found
     )
-
-
-def orbit_slope(orbit: Orbit, p: int) -> Fraction:
-    """Mean coordinate-sum along the orbit, recomputed by walking the action."""
-    total = 0
-    cur = orbit.representative
-    for _ in range(orbit.degree):
-        total += sum(cur.a)
-        cur = m_action(cur, p)
-    if cur != orbit.representative:
-        raise DegenerateInput("orbit is not closed under the given prime")
-    return Fraction(total, cur.modulus * orbit.degree)
-
-
-def digit_sum(k: int, p: int) -> int:
-    total = 0
-    while k:
-        total += k % p
-        k //= p
-    return total
-
-
-def stickelberger_ord(k: int, p: int, q: int | None = None) -> Fraction:
-    """Valuation of the k-th Gauss sum: base-p digit sum of k over p - 1."""
-    if k < 0 or (q is not None and k > q - 2):
-        raise DegenerateInput(f"index {k} outside the valid range")
-    return Fraction(digit_sum(k, p), p - 1)
-
-
-def slope_from_digit_sums(element: GroupElement, p: int) -> Fraction:
-    """Orbit slope of an element computed purely from base-p digit sums.
-
-    Independent oracle for the fractional-part walk: with d the orbit degree
-    and q = p**d, each coordinate r_i contributes the valuation of the Gauss
-    sum indexed by r_i*(q-1), and the slope is the average over the orbit.
-    """
-    d = m_degree(element, p)
-    q = p**d
-    total = Fraction(0)
-    for x in element.a:
-        k, rest = divmod(x * (q - 1), element.modulus)
-        if rest:
-            raise BrokenInvariant("(p**d - 1)*r is not integral")
-        total += stickelberger_ord(k, p, q)
-    return total / d
 
 
 def newton_polygon_diag(ds: DiagonalSimplex, p: int) -> pt.LowerPolygon:

@@ -1,25 +1,22 @@
-"""Exact integer and rational linear algebra for small dense systems.
+"""Exact integer linear algebra for small dense systems.
 
 One fraction-free (Bareiss) Gauss-Jordan elimination, which clears each
 pivot column above the pivot as well as below it, does all the
 elimination in Python's arbitrary-precision integers: determinants and
-ranks are read off its pivots, and `adjugate`, and so rational solves and
-unimodular inverses, off the right half of [B | I]. Rational rows have
-their denominators cleared first, and ``fractions.Fraction`` only appears
-in rational results. No floating point is used anywhere.
+ranks are read off its pivots, and `adjugate` and unimodular inverses off
+the right half of [B | I]. Rational rows have their denominators cleared
+first, so the elimination never builds a Fraction. No floating point is
+used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .errors import BrokenInvariant, DegenerateMatrix
 
 LatticePoint = tuple[int, ...]
-RationalVector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -169,19 +166,6 @@ def adjugate(rows) -> tuple[list[list[int]], int]:
         raise DegenerateMatrix("singular matrix has no adjugate here")
     det = sign * a[-1][n - 1] if n else 1
     return [[sign * x for x in row[n:]] for row in a], det
-
-
-def solve_unique(m: IntMatrix, u) -> RationalVector:
-    """Unique rational solution adj(M)*u / det M of M*r = u for nonsingular M."""
-    if not m.is_square:
-        raise DegenerateMatrix("system matrix must be square")
-    if len(u) != m.rows:
-        raise DegenerateMatrix("right-hand side has wrong length")
-    try:
-        adj, det = adjugate(m.entries)
-    except DegenerateMatrix as exc:
-        raise DegenerateMatrix("singular system matrix") from exc
-    return tuple(Fraction(sum(map(mul, row, u)), det) for row in adj)
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:

@@ -51,10 +51,6 @@ def _sub(a, b) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _add(a, b) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a point set."""
     pts = list(points)
@@ -369,8 +365,8 @@ class LowerPolygon:
     and positive multiplicities, scale the lcm of the reduced slope
     denominators; so scale and the step numerators share no factor, and
     equality and hashing compare the polygon exactly. The (slope,
-    multiplicity) runs, the slope multiset, the vertex list and the
-    cumulative sums are derived views.
+    multiplicity) runs, the slope multiset and the vertex list are derived
+    views.
     """
 
     scale: int
@@ -405,21 +401,6 @@ class LowerPolygon:
     def from_slopes(cls, slopes) -> "LowerPolygon":
         return cls(sorted(Fraction(s) for s in slopes))
 
-    @classmethod
-    def from_vertices(cls, vertices) -> "LowerPolygon":
-        verts = [(Fraction(x), Fraction(y)) for x, y in vertices]
-        if not verts or verts[0] != (0, 0):
-            raise DegenerateInput("polygon must start at the origin")
-        runs = []
-        for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            run = x1 - x0
-            if run == 0 and y1 == y0:
-                continue
-            if run <= 0 or run.denominator != 1:
-                raise DegenerateInput("abscissae must increase by positive integers")
-            runs.append(((y1 - y0) / run, int(run)))
-        return cls.from_runs(sorted(runs))
-
     @property
     def runs(self) -> tuple[tuple[Fraction, int], ...]:
         return tuple((Fraction(s, self.scale), m) for s, m in self.steps)
@@ -431,9 +412,6 @@ class LowerPolygon:
     @property
     def length(self) -> int:
         return sum(m for _, m in self.steps)
-
-    def cumulative(self) -> tuple[Fraction, ...]:
-        return tuple(itertools.accumulate(self.slopes, initial=Fraction(0)))
 
     def _abscissae(self) -> list[int]:
         """Abscissae of the vertices: 0 and the running sums of the multiplicities."""
@@ -625,29 +603,6 @@ class NewtonPolyhedron:
 
     def hodge_polygon(self) -> LowerPolygon:
         return self.hodge_data().polygon
-
-    def cofacial(self, u, u2) -> bool:
-        """Whether the rays of u and u2 meet a common closed away-facet.
-
-        Equivalent to additivity of the weight at u + u2, which is verified
-        on every call.
-        """
-        u = tuple(int(c) for c in u)
-        u2 = tuple(int(c) for c in u2)
-        k1 = self._scaled_weight(u)
-        k2 = self._scaled_weight(u2)
-        if k1 is None or k2 is None:
-            raise DegenerateInput("cofaciality needs both points inside the cone")
-        if k1 == 0 or k2 == 0:
-            raise DegenerateInput("cofaciality is not defined at the origin")
-        d = self.denominator
-        shared = any(
-            _dot(f.a, u) * (d // f.b) == k1 and _dot(f.a, u2) * (d // f.b) == k2
-            for f in self.facets_away_from_origin
-        )
-        if shared != (self._scaled_weight(_add(u, u2)) == k1 + k2):
-            raise BrokenInvariant("cofaciality disagrees with weight additivity")
-        return shared
 
 
 def build(support: Support) -> NewtonPolyhedron:

@@ -26,7 +26,18 @@ same data another way and are used only by the tests:
   generators;
 - `hull_lattice_points` and `check_indecomposable_equality`: the lattice
   points of a hull by bounding-box scan, and the away-facet test read off
-  them, against the library's test on the group table's norms.
+  them, against the library's test on the group table's norms;
+- `coordinates` and `norm`: a group element's r = a/d_n and its sum as
+  Fractions, which the library never builds;
+- `digit_sum`, `stickelberger_ord` and `slope_from_digit_sums`:
+  Stickelberger's route to an orbit slope through base-p digit sums of
+  Gauss-sum indices, against the library's orbit walk;
+- `solve_unique`: the rational solve adj(M)*u / det M off `adjugate`;
+- `orbit_members` and `slope_by_member`: one orbit walked an element at a
+  time, and the orbit and slope of every element under `orbits`;
+- `cofacial`, `from_vertices` and `cumulative`: facet sharing against
+  weight additivity, and a polygon rebuilt from its vertices or read as
+  running slope sums, against the library's integer slope runs.
 """
 
 import itertools
@@ -343,3 +354,101 @@ def check_indecomposable_equality(ds):
             "away-facet carries lattice points other than the vertices"
         )
     return ds.denominator == ds.largest_invariant_factor
+
+
+def coordinates(element):
+    """The rational coordinates r = a/d_n of a group element."""
+    return tuple(Fraction(x, element.modulus) for x in element.a)
+
+
+def norm(element):
+    """The coordinate sum of r = a/d_n."""
+    return Fraction(sum(element.a), element.modulus)
+
+
+def digit_sum(k, p):
+    total = 0
+    while k:
+        total += k % p
+        k //= p
+    return total
+
+
+def stickelberger_ord(k, p, q=None):
+    """Valuation of the k-th Gauss sum: base-p digit sum of k over p - 1."""
+    if k < 0 or (q is not None and k > q - 2):
+        raise DegenerateInput(f"index {k} outside the valid range")
+    return Fraction(digit_sum(k, p), p - 1)
+
+
+def slope_from_digit_sums(element, p):
+    """Orbit slope of an element computed purely from base-p digit sums.
+
+    Stickelberger's theorem: with d the orbit degree and q = p**d, each
+    coordinate r_i contributes the valuation of the Gauss sum indexed by
+    r_i*(q-1), and the slope is the average over the orbit.
+    """
+    d = dg.m_degree(element, p)
+    q = p**d
+    total = Fraction(0)
+    for x in element.a:
+        k, rest = divmod(x * (q - 1), element.modulus)
+        if rest:
+            raise BrokenInvariant("(p**d - 1)*r is not integral")
+        total += stickelberger_ord(k, p, q)
+    return total / d
+
+
+def solve_unique(m, u):
+    """Unique rational solution adj(M)*u / det M of M*r = u; `adjugate` raises
+    DegenerateMatrix for a singular or non-square M."""
+    adj, det = xm.adjugate(m.entries)
+    return tuple(Fraction(sum(map(mul, row, u)), det) for row in adj)
+
+
+def cofacial(poly, u, u2):
+    """Whether the rays of u and u2 meet a common closed away-facet of a
+    Newton polyhedron; the tests compare it with additivity of the weight."""
+    k1 = poly._scaled_weight(u)
+    k2 = poly._scaled_weight(u2)
+    if k1 is None or k2 is None:
+        raise DegenerateInput("cofaciality needs both points inside the cone")
+    if k1 == 0 or k2 == 0:
+        raise DegenerateInput("cofaciality is not defined at the origin")
+    d = poly.denominator
+    return any(
+        pt._dot(f.a, u) * (d // f.b) == k1 and pt._dot(f.a, u2) * (d // f.b) == k2
+        for f in poly.facets_away_from_origin
+    )
+
+
+def from_vertices(vertices):
+    """The `LowerPolygon` through the vertices (0, 0), (x_1, y_1), ... with
+    increasing integer abscissae."""
+    runs = [(Fraction(y1 - y0) / (x1 - x0), int(x1 - x0))
+            for (x0, y0), (x1, y1) in zip(vertices, vertices[1:])]
+    return pt.LowerPolygon.from_runs(sorted(runs))
+
+
+def cumulative(poly):
+    """The running sums of a polygon's slopes, from 0."""
+    return tuple(itertools.accumulate(poly.slopes, initial=Fraction(0)))
+
+
+def orbit_members(element, p):
+    """The orbit of a group element under a -> p*a mod d_n: its vectors a,
+    from the element on."""
+    dn = element.modulus
+    members = [element.a]
+    while (image := tuple([p * x % dn for x in members[-1]])) != element.a:
+        members.append(image)
+    return members
+
+
+def slope_by_member(ds, p):
+    """{a: (i, slope)} over the members of the i-th orbit of `orbits`."""
+    return {
+        a: (i, orbit.slope)
+        for i, orbit in enumerate(orbits(ds, p))
+        for a in orbit_members(orbit.representative, p)
+    }

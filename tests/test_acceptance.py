@@ -15,6 +15,7 @@ from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.primes import primes_below
+from oracles import orbit_members, slope_by_member, slope_from_digit_sums
 
 
 def _report(number: int, text: str) -> None:
@@ -98,11 +99,11 @@ def test_criterion_04_five_dim():
     for p in ordinary_primes:
         assert dg.newton_polygon_diag(ds, p) == hp
         assert dg.is_ordinary(ds, p).ordinary
-    nonzero = [e for e in ds.group if e.norm != 0]
+    nonzero = [e for e in ds.group if any(e.a)]
     for p in swap_primes:
         # digit-sum oracle first, then the orbit average
         for e in nonzero:
-            assert dg.slope_from_digit_sums(e, p) == Fraction(5, 2)
+            assert slope_from_digit_sums(e, p) == Fraction(5, 2)
         np_poly = dg.newton_polygon_diag(ds, p)
         assert np_poly.slopes == (0, Fraction(5, 2), Fraction(5, 2))
         cmp = pt.lies_above(np_poly, hp)
@@ -140,9 +141,14 @@ def test_criterion_06_digit_sum_cross_check():
         valid = [p for p in primes_below(50) if gcd(p, ds.group_order) == 1]
         p = rng.choice(valid)
         np_poly = dg.newton_polygon_diag(ds, p)
+        # every member of an orbit lies in one reference orbit, of the same slope
+        reference = slope_by_member(ds, p)
         for orbit in dg.orbits(ds, p):
-            assert orbit.slope == dg.orbit_slope(orbit, p)
-            assert orbit.slope == dg.slope_from_digit_sums(orbit.representative, p)
+            members = orbit_members(orbit.representative, p)
+            assert len(members) == orbit.degree
+            assert {reference[a] for a in members} == {reference[members[0]]}
+            assert reference[members[0]][1] == orbit.slope
+            assert orbit.slope == slope_from_digit_sums(orbit.representative, p)
         hp = dg.hodge_polygon_diag(ds)
         cmp = pt.lies_above(np_poly, hp)
         assert cmp.status is not pt.Dominance.VIOLATION

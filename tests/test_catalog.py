@@ -67,6 +67,56 @@ def test_bad_parameters():
         catalog.make("kloosterman", {})
 
 
+# a name the family does not take, or a value that is not an int, is refused
+# rather than ignored, rounded or read as 0/1
+UNCHECKED = [
+    ("dilated_simplex", {"n": 2, "d": 2, "h": 3},
+     "family 'dilated_simplex' has no parameter 'h'; known: ('n', 'd', 'D')"),
+    ("five_dim", {"n": 5}, "family 'five_dim' has no parameter 'n'; known: ()"),
+    ("monomial", {"d": 2.7}, "d must be an integer"),
+    ("monomial", {"d": True}, "d must be an integer"),
+    ("kloosterman", {"n": "3"}, "n must be an integer"),
+    ("dilated_simplex", {"n": 2, "d": 2, "D": False}, "D must be an integer"),
+    ("box", {"dims": [1, 2.0]}, "dims must be a list of integers"),
+    ("box", {"dims": 2}, "dims must be a list of integers"),
+    ("generalized_kloosterman", {"n": 2, "v": [1, True]}, "v must be a list of integers"),
+]
+
+
+@pytest.mark.parametrize("name,params,message", UNCHECKED, ids=[
+    "typo", "no-parameters", "float", "bool", "string", "bool-default", "float-in-list",
+    "not-a-list", "bool-in-list"])
+def test_parameters_are_checked_exactly(name, params, message):
+    with pytest.raises(DegenerateInput) as info:
+        catalog.make(name, params)
+    assert str(info.value) == message
+
+
+class Recorder(dict):
+    """Parameters that note each name a builder reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_parameter_table_lists_what_the_builders_read():
+    read = {name: set() for name in catalog.FAMILY_NAMES}
+    for name, params in CASES:
+        recorder = Recorder(params)
+        catalog._BUILDERS[name][0](recorder)
+        read[name] |= recorder.read
+    assert read == {name: set(names) for name, (_, names) in catalog._BUILDERS.items()}
+
+
 # documents whose builders would enumerate past the budget, with the count
 # each refusal names: today's limit refuses them before the first point
 OVERSIZED = [

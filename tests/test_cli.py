@@ -528,6 +528,16 @@ class TestInputHandling:
         code, _, _ = run_cli(capsys, ["hodge", "/nonexistent/input.json"])
         assert code == 5
 
+    def test_unknown_family_parameter_refused(self, tmp_path, capsys):
+        # a typo is refused, not ignored and echoed as if it had been used
+        doc = {"family": {"name": "dilated_simplex", "parameters": {"n": 2, "d": 2, "h": 3}}}
+        path = write_doc(tmp_path, doc)
+        code, out, err = run_cli(capsys, ["hodge", path])
+        assert code == 5
+        assert out == ""
+        assert err == ("error: family 'dilated_simplex' has no parameter 'h';"
+                       " known: ('n', 'd', 'D')\n")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -165,3 +165,4 @@ def test_every_document_gets_a_documented_exit(text, command, fmt):
 
 def test_every_family_is_fuzzed():
     assert sorted(FAMILY_PARAMETERS) == sorted(catalog.FAMILY_NAMES)
+    assert FAMILY_PARAMETERS == {name: names for name, (_, names) in catalog._BUILDERS.items()}

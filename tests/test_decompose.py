@@ -13,6 +13,7 @@ from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.errors import DegenerateInput, NotCoprime
 from npoly.primes import primes_below
+from oracles import coordinates, norm, solve_unique
 
 
 def gen_kloosterman_23():
@@ -415,13 +416,14 @@ class TestBuildCounterexample:
         support = catalog.make("four_dim", {"D": big_d, "k": k}).support
         ds = dg.DiagonalSimplex.from_support(support)
         u = (big_d + 1, 1, 0, 1)
-        r = xm.solve_unique(ds.matrix, u)
-        element = next(e for e in ds.group if e.r == r)
-        assert element.norm == 1 + Fraction(1, big_d)
+        r = solve_unique(ds.matrix, u)
+        element = next(e for e in ds.group if coordinates(e) == r)
+        assert norm(element) == 1 + Fraction(1, big_d)
+        dn = element.modulus
         for p in [p for p in primes_below(200) if p % big_d**k == 1 + big_d ** (k - 1)]:
-            moved = dg.m_action(element, p)
-            assert moved.norm >= 1 + Fraction(p % big_d**k, big_d**k)
-            assert moved.norm > element.norm
+            moved = Fraction(sum(p * x % dn for x in element.a), dn)
+            assert moved >= 1 + Fraction(p % big_d**k, big_d**k)
+            assert moved > norm(element)
 
     def test_extend_dim(self):
         support = catalog.make("extend_dim", {"n": 6}).support

@@ -19,7 +19,7 @@ from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.errors import DegenerateMatrix, NotIndecomposable
-from oracles import check_indecomposable_equality
+from oracles import check_indecomposable_equality, solve_unique
 
 N_POINT_FAMILIES = [
     ("monomial", {"d": 1}),
@@ -54,7 +54,7 @@ def assert_matches_slow_path(matrix):
     assert ds.det == xm.determinant(matrix)
     assert ds.denominator == poly.denominator
     assert abs(ds.det) == poly.normalized_volume
-    e = xm.solve_unique(matrix.transpose(), (1,) * matrix.rows)
+    e = solve_unique(matrix.transpose(), (1,) * matrix.rows)
     assert all((c * ds.largest_invariant_factor).denominator == 1 for c in e)
     assert ds.denominator == lcm(*(c.denominator for c in e))
     rel = dg.denominator_divides(ds)

@@ -17,6 +17,7 @@ from npoly import decompose as dc
 from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
+from oracles import solve_unique
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,7 @@ class Cyclotomic:
         vec = tuple(int(c) for c in a)
         count = 0
         while True:
-            sol = xm.solve_unique(self._lam, vec)
+            sol = solve_unique(self._lam, vec)
             if any(c.denominator != 1 for c in sol):
                 return Fraction(count, self.p - 1)
             vec = tuple(int(c) for c in sol)

@@ -12,7 +12,9 @@ from npoly import diagonal as dg
 from npoly import exactmath as xm
 from npoly import polytope as pt
 from npoly.primes import primes_below
-from oracles import hull_lattice_points, in_hull, lp_min_sum
+from oracles import (cofacial, coordinates, cumulative, from_vertices, hull_lattice_points,
+                     in_hull, lp_min_sum, norm, orbit_members, slope_by_member,
+                     slope_from_digit_sums, solve_unique)
 
 
 def square_matrices(max_n=4, lo=-6, hi=6, min_n=1):
@@ -57,7 +59,7 @@ def test_snf_invariants(m):
 def test_solve_round_trip(m, coords):
     r = tuple(coords[: m.rows])
     u = m.mul_vector(r)
-    assert xm.solve_unique(m, u) == r
+    assert solve_unique(m, u) == r
 
 
 @given(st.integers(0, 4), st.integers(-4, 4), st.integers(-4, 4))
@@ -76,7 +78,7 @@ def test_lp_homogeneity(c, x, y):
 @settings(max_examples=60, deadline=None)
 def test_polygon_round_trip(slopes):
     poly = pt.LowerPolygon.from_slopes(slopes)
-    again = pt.LowerPolygon.from_vertices(poly.vertices)
+    again = from_vertices(poly.vertices)
     assert again == poly
     cmp = pt.lies_above(poly, poly)
     assert cmp.status is pt.Dominance.ABOVE and cmp.endpoints_coincide
@@ -117,7 +119,7 @@ class FractionPolygon:
 def assert_matches_reference(poly, ref):
     assert poly.slopes == ref.slopes
     assert poly.length == len(ref.slopes)
-    assert poly.cumulative() == ref.cumulative
+    assert cumulative(poly) == ref.cumulative
     assert poly.vertices == ref.vertices
     assert poly.endpoint == ref.vertices[-1]
     assert poly.runs == ref.runs
@@ -159,7 +161,7 @@ def test_run_length_polygon_against_fraction_reference(pair, rnd):
         shuffled = list(slopes)
         rnd.shuffle(shuffled)
         assert pt.LowerPolygon.from_slopes(shuffled) == poly
-        assert pt.LowerPolygon.from_vertices(ref.vertices) == poly
+        assert from_vertices(ref.vertices) == poly
         assert pt.LowerPolygon.from_runs((s, 1) for s in ref.slopes) == poly
         # any common multiple of the denominators reduces to the same polygon
         k = rnd.randint(1, 12)
@@ -201,7 +203,7 @@ small_det_matrices = (
 @settings(max_examples=80, deadline=None)
 def test_diagonal_polygons_against_expanded_fractions(m, primes):
     ds = dg.DiagonalSimplex.from_matrix(m)
-    norms = [e.norm for e in ds.group]
+    norms = [norm(e) for e in ds.group]
     hodge = dg.hodge_polygon_diag(ds)
     ref_hodge = FractionPolygon(norms)
     assert hodge == pt.LowerPolygon.from_slopes(norms)
@@ -288,7 +290,7 @@ class TestWeightFunction:
                     continue
                 total = poly.weight(tuple(a + b for a, b in zip(u, v)))
                 assert total <= wu + wv
-                assert (total == wu + wv) == poly.cofacial(u, v)
+                assert (total == wu + wv) == cofacial(poly, u, v)
                 checked += 1
 
     def test_facet_formula_equals_lp(self):
@@ -325,15 +327,16 @@ class TestRandomDiagonal:
         for ds in self.simplices(12):
             assert len(ds.group) == ds.group_order
             assert dg.hodge_polygon_diag(ds) == ds.polyhedron.hodge_polygon()
-            assert sum(1 for e in ds.group if e.norm == 0) == 1
+            assert sum(1 for e in ds.group if norm(e) == 0) == 1
 
     def test_orbit_slopes_match_digit_sums(self):
         for ds in self.simplices(10):
             primes = [p for p in primes_below(30) if gcd(p, ds.group_order) == 1]
             p = self.rng.choice(primes)
             for orbit in dg.orbits(ds, p):
-                walk = dg.orbit_slope(orbit, p)
-                digits = dg.slope_from_digit_sums(orbit.representative, p)
+                members = orbit_members(orbit.representative, p)
+                walk = Fraction(sum(map(sum, members)), ds.largest_invariant_factor * len(members))
+                digits = slope_from_digit_sums(orbit.representative, p)
                 assert walk == digits == orbit.slope
 
     def test_residue_one_is_ordinary(self):
@@ -406,7 +409,7 @@ class TestIndependentOracles:
                 r = tuple(Fraction(a, dn) for a in combo)
                 if all(x.denominator == 1 for x in m.mul_vector(r)):
                     brute.add(r)
-            assert {e.r for e in ds.group} == brute
+            assert {coordinates(e) for e in ds.group} == brute
             checked += 1
 
     def test_integer_group_against_fraction_group(self):
@@ -435,7 +438,7 @@ class TestIndependentOracles:
                 },
                 key=lambda r: (sum(r), r),
             )
-            assert [e.r for e in ds.group] == group
+            assert [coordinates(e) for e in ds.group] == group
 
             for p in self.rng.sample([p for p in primes[:30] if det % p], 2):
                 expected = []
@@ -450,12 +453,15 @@ class TestIndependentOracles:
                         slope = sum(map(sum, members)) / len(members)
                         expected.append((slope, members[0], len(members)))
                 assert [
-                    (o.slope, o.representative.r, o.degree) for o in dg.orbits(ds, p)
+                    (o.slope, coordinates(o.representative), o.degree) for o in dg.orbits(ds, p)
                 ] == sorted(expected)
                 witness = next((r for r in group if sum(act(r, p)) != sum(r)), None)
                 verdict = dg.is_ordinary(ds, p)
                 assert verdict.ordinary == (witness is None)
-                assert (None if verdict.witness is None else verdict.witness.r) == witness
+                if witness is None:
+                    assert verdict.witness is None
+                else:
+                    assert coordinates(verdict.witness) == witness
 
             dn = ds.largest_invariant_factor
             units = [u for u in range(1, dn + 1) if gcd(u, dn) == 1]
@@ -473,16 +479,18 @@ class TestIndependentOracles:
         ds = dg.DiagonalSimplex.from_matrix(
             xm.IntMatrix.from_columns([(5, 1), (1, 3)])
         )
+        dn = ds.largest_invariant_factor
         for p in (3, 11, 13):
+            # every member lies in one reference orbit, of the same slope, and
+            # the digit-sum route gives that slope from any member
+            reference = slope_by_member(ds, p)
             for orbit in dg.orbits(ds, p):
-                member = orbit.representative
-                for _ in range(orbit.degree):
-                    shifted = dg.Orbit(
-                        representative=member, degree=orbit.degree, slope=orbit.slope
-                    )
-                    assert dg.orbit_slope(shifted, p) == orbit.slope
-                    member = dg.m_action(member, p)
-                assert member == orbit.representative
+                members = orbit_members(orbit.representative, p)
+                assert len(members) == orbit.degree
+                assert {reference[a] for a in members} == {reference[members[0]]}
+                assert reference[members[0]][1] == orbit.slope
+                for a in members:
+                    assert slope_from_digit_sums(dg.GroupElement(a, dn), p) == orbit.slope
 
 
 def test_denominator_attained_on_named_cases():

