@@ -337,10 +337,7 @@ def evaluate_fact(family: NamedFamily, kind: str):
     if kind == "ordinary_classes":
         return dg.ordinary_residues(dg.DiagonalSimplex.from_support(support)).classes
     if kind == "dstar":
-        pieces = dc.facial_decompose(support)
-        return lcm(
-            *(dc.complete_collapse(fp.restricted_support).dstar for fp in pieces)
-        )
+        return lcm(*(collapse.dstar for _, collapse in dc.facial_collapse(support)))
     if kind == "ordinary_for_primes_below_50":
         from . import errors
         from .primes import primes_below

@@ -124,8 +124,16 @@ def load_input(path: str) -> dict:
     return raw
 
 
+def _refuse_unknown(obj: dict, known: tuple, what: str) -> None:
+    """Refuse the first key of obj, in sorted order, that is not in known."""
+    unknown = sorted(key for key in obj if key not in known)
+    if unknown:
+        raise InputError(f"{what} has no key {unknown[0]!r}; known: {known}")
+
+
 def resolve_support(doc: dict) -> tuple[polytope.Support, dict]:
     """Build the support from a document; returns (support, echo)."""
+    _refuse_unknown(doc, ("coefficients", "family", "n", "support"), "the document")
     has_family = "family" in doc
     has_support = "support" in doc
     if has_family == has_support:
@@ -134,6 +142,7 @@ def resolve_support(doc: dict) -> tuple[polytope.Support, dict]:
         fam = doc["family"]
         if not isinstance(fam, dict) or "name" not in fam:
             raise InputError("'family' must be an object with a 'name'")
+        _refuse_unknown(fam, ("name", "parameters"), "'family'")
         params = fam.get("parameters", {})
         if not isinstance(params, dict):
             raise InputError("'parameters' must be an object")
@@ -267,10 +276,7 @@ def cmd_decompose(
 ) -> dict:
     cert = None
     if p is None:
-        faces = [
-            (fp, decompose.complete_collapse(fp.restricted_support, strategy))
-            for fp in decompose.facial_decompose(support)
-        ]
+        faces = decompose.facial_collapse(support, strategy)
     else:
         _require_prime(p)
         cert = decompose.generic_ordinary_certificate(support, p, strategy)

@@ -43,6 +43,8 @@ class FacialStatus(Enum):
 
 @dataclass(frozen=True)
 class FacialVerdict:
+    """A NON_ORDINARY `witness` indexes its face's points sorted."""
+
     status: FacialStatus
     witness_face: int | None = None
     witness: dg.GroupElement | None = None
@@ -95,46 +97,34 @@ def facial_decompose(support: pt.Support) -> tuple[FacePiece, ...]:
     return tuple(pieces)
 
 
+def facial_collapse(support: pt.Support, strategy: str = "first-lex") -> tuple:
+    """Each away-face with its complete collapse, as (FacePiece, CollapseResult)
+    pairs. A diagonal face collapses to itself: one piece, its points sorted."""
+    return tuple((fp, complete_collapse(fp.restricted_support, strategy))
+                 for fp in facial_decompose(support))
+
+
 def ordinary_via_faces(support: pt.Support, p: int) -> FacialVerdict:
     """Facial reduction of the norm-stability question.
 
     When every face piece has exactly n points the verdict is the
-    conjunction of the per-face verdicts. Otherwise the question is left
-    open and the verdict carries the modulus whose residue-1 primes are
-    certified for the generic family (lcm of per-face largest invariant
-    factors, via a complete collapse for the non-diagonal faces).
+    conjunction of the per-face verdicts; a witness indexes the columns of
+    its face's one collapse piece, the face's points sorted. Otherwise the
+    verdict is left open and carries the modulus whose residue-1 primes are
+    certified for the generic family, the lcm of the faces' first-lex dstar.
     """
-    pieces = facial_decompose(support)
-    non_diagonal = tuple(i for i, fp in enumerate(pieces) if not fp.is_diagonal)
-    simplices: dict[int, dg.DiagonalSimplex] = {}
-    for i, fp in enumerate(pieces):
-        if fp.is_diagonal:
-            ds = dg.DiagonalSimplex.from_matrix(
-                xm.IntMatrix.from_columns(fp.restricted_support)
-            )
-            if gcd(p, ds.group_order) != 1:
-                raise NotCoprime(f"{p} divides the determinant of face {i}")
-            simplices[i] = ds
+    faces = facial_collapse(support)
+    for i, (fp, collapse) in enumerate(faces):
+        if fp.is_diagonal and gcd(p, collapse.simplices[0].group_order) != 1:
+            raise NotCoprime(f"{p} divides the determinant of face {i}")
+    non_diagonal = tuple(i for i, (fp, _) in enumerate(faces) if not fp.is_diagonal)
     if non_diagonal:
-        moduli = []
-        for i, fp in enumerate(pieces):
-            if i in simplices:
-                moduli.append(simplices[i].largest_invariant_factor)
-            else:
-                moduli.append(
-                    complete_collapse(fp.restricted_support, "first-lex").dstar
-                )
-        return FacialVerdict(
-            FacialStatus.UNKNOWN,
-            non_diagonal_faces=non_diagonal,
-            certificate_modulus=lcm(*moduli),
-        )
-    for i in range(len(pieces)):
-        verdict = dg.is_ordinary(simplices[i], p)
+        return FacialVerdict(FacialStatus.UNKNOWN, non_diagonal_faces=non_diagonal,
+                             certificate_modulus=lcm(*(c.dstar for _, c in faces)))
+    for i, (_, collapse) in enumerate(faces):
+        verdict = dg.is_ordinary(collapse.simplices[0], p)
         if not verdict.ordinary:
-            return FacialVerdict(
-                FacialStatus.NON_ORDINARY, witness_face=i, witness=verdict.witness
-            )
+            return FacialVerdict(FacialStatus.NON_ORDINARY, i, verdict.witness)
     return FacialVerdict(FacialStatus.ORDINARY)
 
 
@@ -273,13 +263,11 @@ def generic_ordinary_certificate(
     n-point piece for norm stability at p. A full pass certifies the generic
     family; a failure yields no conclusion in either direction.
     """
-    faces = facial_decompose(support)
     face_certs = []
     certified = True
     reason = None
     dstar = 1
-    for i, fp in enumerate(faces):
-        collapse = complete_collapse(fp.restricted_support, strategy)
+    for i, (fp, collapse) in enumerate(facial_collapse(support, strategy)):
         dstar = lcm(dstar, collapse.dstar)
         verdicts = []
         failing = None

@@ -538,6 +538,22 @@ class TestInputHandling:
         assert err == ("error: family 'dilated_simplex' has no parameter 'h';"
                        " known: ('n', 'd', 'D')\n")
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"n": 1, "support": [[1]], "coeficients": [1]},
+         "the document has no key 'coeficients';"
+         " known: ('coefficients', 'family', 'n', 'support')"),
+        ({"zeta": 1, "alpha": 2, "n": 1, "support": [[1]]},  # the first in sorted order
+         "the document has no key 'alpha'; known: ('coefficients', 'family', 'n', 'support')"),
+        ({"family": {"name": "monomial", "parameters": {"d": 3}, "params": {"d": 4}}},
+         "'family' has no key 'params'; known: ('name', 'parameters')"),
+    ], ids=["document", "document-sorted", "family"])
+    def test_unknown_document_key_refused(self, tmp_path, capsys, doc, message):
+        # a misspelt key is refused, not dropped from the echo
+        path = write_doc(tmp_path, doc)
+        for command in (["hodge"], ["decompose"], ["ordinary-classes"]):
+            code, out, err = run_cli(capsys, command + [path])
+            assert (code, out, err) == (5, "", f"error: {message}\n")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

@@ -133,6 +133,43 @@ class TestOrdinaryViaFaces:
         assert verdict.non_diagonal_faces == (0,)
         assert verdict.certificate_modulus == 1
 
+    def test_witness_indexes_the_faces_one_piece(self):
+        support = pt.Support(2, ((1, 0), (2, -1), (0, 2)))
+        p = 7
+        verdict = dc.ordinary_via_faces(support, p)
+        assert verdict.status is dc.FacialStatus.NON_ORDINARY
+        _, collapse = dc.facial_collapse(support)[verdict.witness_face]
+        m = xm.IntMatrix.from_columns(collapse.pieces[0])
+        a, dn = verdict.witness.a, verdict.witness.modulus
+        # M·r ≡ 0 (mod 1) for r = a/d_n, and p·r has another norm
+        assert all(x % dn == 0 for x in m.mul_vector(a))
+        assert sum(p * x % dn for x in a) != sum(a)
+
+    def test_p_dividing_a_non_diagonal_piece_leaves_the_verdict_open(self):
+        # the face (1,-2), (1,0), (1,1) collapses to pieces of |det| 1 and 2;
+        # only a diagonal face's determinant is checked against p
+        support = pt.Support(2, ((1, -2), (1, 0), (1, 1)))
+        verdict = dc.ordinary_via_faces(support, 2)
+        assert verdict.status is dc.FacialStatus.UNKNOWN
+        assert verdict.certificate_modulus == 2
+
+
+class TestFacialCollapse:
+    @pytest.mark.parametrize("strategy", dc.STRATEGIES)
+    def test_each_face_with_its_complete_collapse(self, strategy):
+        support = catalog.make("box", {"dims": [2, 1]}).support
+        faces = dc.facial_collapse(support, strategy)
+        assert [fp for fp, _ in faces] == list(dc.facial_decompose(support))
+        for fp, collapse in faces:
+            assert collapse == dc.complete_collapse(fp.restricted_support, strategy)
+
+    def test_a_diagonal_face_is_its_own_piece(self):
+        for fp, collapse in dc.facial_collapse(gen_kloosterman_23()):
+            assert fp.is_diagonal
+            assert collapse.pieces == (tuple(sorted(fp.restricted_support)),)
+            assert collapse.simplices[0].matrix == xm.IntMatrix.from_columns(
+                collapse.pieces[0])
+
 
 class TestCollapseStep:
     def test_indecomposable_unchanged(self):
