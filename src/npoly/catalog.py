@@ -342,10 +342,11 @@ def evaluate_fact(family: NamedFamily, kind: str):
         from . import errors
         from .primes import primes_below
 
+        faces = dc.facial_collapse(support)
         verdicts = []
         for p in primes_below(50):
             try:
-                verdict = dc.ordinary_via_faces(support, p)
+                verdict = dc._facial_verdict(faces, p)
             except errors.NotCoprime:
                 continue
             verdicts.append(verdict.status is dc.FacialStatus.ORDINARY)

@@ -119,6 +119,8 @@ def load_input(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, bad UTF-8 or an oversized integer
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply to decode at stage load") from exc
     if not isinstance(raw, dict):
         raise InputError("input document must be a JSON object")
     return raw

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from math import factorial, gcd, lcm
 
 from . import diagonal as dg
@@ -113,7 +112,11 @@ def ordinary_via_faces(support: pt.Support, p: int) -> FacialVerdict:
     verdict is left open and carries the modulus whose residue-1 primes are
     certified for the generic family, the lcm of the faces' first-lex dstar.
     """
-    faces = facial_collapse(support)
+    return _facial_verdict(facial_collapse(support), p)
+
+
+def _facial_verdict(faces, p: int) -> FacialVerdict:
+    """`ordinary_via_faces` at p over `facial_collapse`'s first-lex pairs."""
     for i, (fp, collapse) in enumerate(faces):
         if fp.is_diagonal and gcd(p, collapse.simplices[0].group_order) != 1:
             raise NotCoprime(f"{p} divides the determinant of face {i}")
@@ -167,82 +170,31 @@ def _simplex(piece, simplices: dict) -> dg.DiagonalSimplex:
     return simplices[piece]
 
 
-def _pick_max_invariant_factor(cur, local, choices, n, simplices):
-    """Prefer the vertex whose step peels off the largest invariant factor;
-    returns it with the pieces of its step."""
-    def score(step):
-        return max((_simplex(p, simplices).largest_invariant_factor
-                    for p in step[1] if len(p) == n), default=0)
-
-    # max keeps the first of equal scores, so ties go to the least vertex
-    return max(((cand, pt._step(cur, local, cand)) for cand in sorted(choices)), key=score)
-
-
-def _achievable_collapses(pts, n, memo, simplices):
-    """All achievable dstar values for a point set, with one witness each.
-
-    The overall dstar is an lcm over pieces, which is not monotone in the
-    per-piece values, so minimizing sub-problems independently is wrong;
-    instead track the full set of achievable values per subset (small in
-    practice) and combine them across sibling pieces.
-    """
-    key = frozenset(pts)
-    if key in memo:
-        return memo[key]
-    if len(pts) == n:
-        memo[key] = {_simplex(pts, simplices).largest_invariant_factor: ((pts,), ())}
-        return memo[key]
-    out: dict = {}
-    local = pt._local_coordinates(pts)
-    candidates = sorted(pt._valid_choices(pts, local))
-    if not candidates:
-        raise DegenerateInput("no vertex can be removed without degenerating")
-    for cand in candidates:
-        pieces = pt._step(pts, local, cand)
-        combos = {1: ((), ())}
-        for piece in pieces:
-            child = _achievable_collapses(piece, n, memo, simplices)
-            merged = {}
-            for v0 in sorted(combos):
-                ps0, log0 = combos[v0]
-                for v1 in sorted(child):
-                    ps1, log1 = child[v1]
-                    v = lcm(v0, v1)
-                    if v not in merged:
-                        merged[v] = (ps0 + ps1, log0 + log1)
-            combos = merged
-        for v in sorted(combos):
-            if v not in out:
-                ps, log = combos[v]
-                out[v] = (ps, (cand,) + log)
-    memo[key] = out
-    return out
-
-
 def complete_collapse(vset, strategy: str = "first-lex") -> CollapseResult:
     """Collapse recursively until every piece has exactly n points.
 
     The vertex picked at each step is strategy-dependent; no choice rule is
     known to be optimal, so the strategy is an explicit parameter. Pieces
-    are reported once each, although they may share points. Each split
-    point set gets one chart, and each distinct piece one `DiagonalSimplex`
-    record, built once and shared by the scores, `simplices` and the
-    certificate.
+    are reported once each, although they may share points. The search runs
+    in `polytope`, scoring a piece by its d_n; each distinct piece gets one
+    `DiagonalSimplex` record, built once and shared by the scores,
+    `simplices` and the certificate.
     """
     pts, n = _validate_collapse_input(vset)
     if strategy not in STRATEGIES:
         raise DegenerateInput(f"unknown strategy {strategy!r}; pick one of {STRATEGIES}")
     simplices: dict = {}
+
+    def score(piece):
+        return _simplex(piece, simplices).largest_invariant_factor
+
     if strategy == "exhaustive-min-dstar":
-        achievable = _achievable_collapses(pts, n, {}, simplices)
-        pieces, log = achievable[min(achievable)]
-        final, choice_log = list(pieces), list(log)
-    elif strategy == "first-lex":
-        final, choice_log = pt._greedy_collapse(pts, n)
+        achievable = pt._achievable_collapses(pts, n, score)
+        final, choice_log = achievable[min(achievable)]
     else:
-        pick = partial(_pick_max_invariant_factor, n=n, simplices=simplices)
-        final, choice_log = pt._greedy_collapse(pts, n, pick)
-    unique = tuple(dict.fromkeys(tuple(sorted(piece)) for piece in final))
+        final, choice_log = pt._greedy_collapse(
+            pts, n, score if strategy == "max-invariant-factor" else None)
+    unique = tuple(dict.fromkeys(final))
     records = tuple(_simplex(piece, simplices) for piece in unique)
     piece_factors = tuple(ds.largest_invariant_factor for ds in records)
     return CollapseResult(

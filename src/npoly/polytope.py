@@ -253,15 +253,23 @@ def _step(pts, local, chosen):
     return tuple(pieces)
 
 
-def _pick_first_lex(cur, local, choices):
-    chosen = min(choices)
-    return chosen, _step(cur, local, chosen)
+def _splits(pts):
+    """The collapse steps of a sorted codimension-1 set of more than n points:
+    (vertex, step) pairs in vertex order, from one chart, each step taken when
+    drawn. A set with no removable vertex is refused at the first draw."""
+    local = _local_coordinates(pts)
+    choices = _valid_choices(pts, local)
+    if not choices:
+        raise DegenerateInput("no vertex can be removed without degenerating")
+    for chosen in choices:
+        yield chosen, _step(pts, local, chosen)
 
 
-def _greedy_collapse(pts, n, pick=_pick_first_lex):
+def _greedy_collapse(pts, n, score=None):
     """Complete collapse of a sorted codimension-1 set: (n-point pieces,
     chosen vertices). A step is a placing step run backwards, so the pieces
-    triangulate the hull. pick(set, chart, choices) returns (vertex, step)."""
+    triangulate the hull. Each set takes its first split or, given a score of
+    n-point pieces, the split whose pieces score highest (least vertex on ties)."""
     stack = [pts]
     final = []
     log = []
@@ -270,14 +278,48 @@ def _greedy_collapse(pts, n, pick=_pick_first_lex):
         if len(cur) == n:
             final.append(cur)
             continue
-        local = _local_coordinates(cur)
-        choices = _valid_choices(cur, local)
-        if not choices:
-            raise DegenerateInput("no vertex can be removed without degenerating")
-        chosen, pieces = pick(cur, local, choices)
+        splits = _splits(cur)
+        if score is None:
+            chosen, pieces = next(splits)
+        else:  # max keeps the first of equal scores
+            chosen, pieces = max(splits, key=lambda split: max(
+                (score(p) for p in split[1] if len(p) == n), default=0))
         log.append(chosen)
         stack.extend(pieces)
     return final, log
+
+
+def _achievable_collapses(pts, n, score, memo=None):
+    """Every lcm of the n-point pieces' scores that a complete collapse of a
+    sorted set achieves, with one witness (pieces, choice log) each. The lcm is
+    not monotone in the per-piece values, so no sub-problem is minimized alone:
+    each set keeps all its values (few in practice), which siblings combine."""
+    memo = {} if memo is None else memo
+    if pts in memo:
+        return memo[pts]
+    if len(pts) == n:
+        memo[pts] = {score(pts): ((pts,), ())}
+        return memo[pts]
+    out: dict = {}
+    for cand, pieces in _splits(pts):
+        combos = {1: ((), ())}
+        for piece in pieces:
+            child = _achievable_collapses(piece, n, score, memo)
+            merged = {}
+            for v0 in sorted(combos):
+                ps0, log0 = combos[v0]
+                for v1 in sorted(child):
+                    ps1, log1 = child[v1]
+                    v = lcm(v0, v1)
+                    if v not in merged:
+                        merged[v] = (ps0 + ps1, log0 + log1)
+            combos = merged
+        for v in sorted(combos):
+            if v not in out:
+                ps, log = combos[v]
+                out[v] = (ps, (cand,) + log)
+    memo[pts] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +665,12 @@ def build(support: Support) -> NewtonPolyhedron:
             continue
         incident = tuple(i for i in range(len(pts)) if mask >> i & 1)
         away.append(Facet(a, b, incident))
-    away.sort(key=lambda f: f.normal)
+    d = lcm(*(f.b for f in away))
+    # the normals a/b scaled by one positive d keep their lex order
+    away.sort(key=lambda f: tuple(c * (d // f.b) for c in f.a))
     return NewtonPolyhedron(
         support=support,
         facets_away_from_origin=tuple(away),
-        denominator=lcm(*(f.b for f in away)),
+        denominator=d,
         cone_normals=tuple(sorted(cone)),
     )

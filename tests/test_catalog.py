@@ -3,6 +3,7 @@
 import pytest
 
 from npoly import catalog
+from npoly import decompose as dc
 from npoly import polytope as pt
 from npoly.errors import DegenerateInput
 
@@ -36,6 +37,21 @@ def test_expected_facts_recompute(name, params):
     assert rows, "every family must carry at least one fact"
     for kind, expected, actual, ok in rows:
         assert ok, f"{name}: {kind} expected {expected} got {actual}"
+
+
+@pytest.mark.parametrize("name,params", [
+    ("kloosterman", {"n": 3}),
+    ("bi_kloosterman", {"n": 2, "u": [1, 1], "v": [1, 1]}),
+])
+def test_prime_sweep_collapses_the_faces_once(name, params, monkeypatch):
+    # the verdict at each prime below 50 reads one facial collapse
+    calls = []
+    facial_decompose = dc.facial_decompose
+    monkeypatch.setattr(dc, "facial_decompose",
+                        lambda support: calls.append(support) or facial_decompose(support))
+    family = catalog.make(name, params)
+    assert catalog.evaluate_fact(family, "ordinary_for_primes_below_50") is True
+    assert calls == [family.support]
 
 
 def test_make_examples():

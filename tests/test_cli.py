@@ -584,6 +584,18 @@ class TestInputHandling:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("prefix", [
+        '{"n": 1, "support": ',
+        '{"n": 1, "support": [[1]], "coefficients": ',
+    ], ids=["support", "coefficients"])
+    def test_deep_nesting_is_an_input_error(self, tmp_path, capsys, prefix):
+        # the decoder recurses once per level; 100,000 levels pass any stack limit
+        path = tmp_path / "deep.json"
+        path.write_text(prefix + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["hodge", str(path)])
+        assert (code, out) == (5, "")
+        assert err == f"error: {path} nests too deeply to decode at stage load\n"
+
     def test_coefficients_echoed(self, tmp_path, capsys):
         doc = dict(MONOMIAL_3)
         doc["coefficients"] = [1]

@@ -377,3 +377,24 @@ class TestWorkDoneOnce:
         if strategy == "first-lex":
             # one enumeration for the vertex choices, one for the step
             assert len(enumerations) == 2 * len(res.choice_log) == 8
+
+    @pytest.mark.parametrize("strategy", dc.STRATEGIES)
+    def test_steps_taken_lazily(self, strategy, monkeypatch):
+        # first-lex steps each split set once, at its least valid vertex; the
+        # scored searches step every valid vertex of every split set once
+        choices = {}
+        valid = pt._valid_choices
+        monkeypatch.setattr(pt, "_valid_choices",
+                            lambda pts, local: choices.setdefault(pts, valid(pts, local)))
+        steps = []
+        step = pt._step
+        monkeypatch.setattr(pt, "_step", lambda pts, local, chosen: steps.append(
+            (pts, chosen)) or step(pts, local, chosen))
+        res = dc.complete_collapse(POLYGON_7, strategy)
+        assert sum(map(len, choices.values())) > len(choices)
+        if strategy == "first-lex":
+            assert len(choices) == len(res.choice_log)
+            assert steps == [(pts, vertices[0]) for pts, vertices in choices.items()]
+        else:
+            assert sorted(steps) == sorted(
+                (pts, v) for pts, vertices in choices.items() for v in vertices)

@@ -59,7 +59,7 @@ def answers(n, points):
 
 def facets(n, points):
     poly = pt.build(pt.Support(n, tuple(points)))
-    return {(f.a, f.b) for f in poly.facets_away_from_origin}
+    return {(f.a, f.b): f.vertex_indices for f in poly.facets_away_from_origin}
 
 
 def move(u, points):
@@ -87,13 +87,13 @@ def moved_supports(draw):
     points = draw(st.lists(point, min_size=n, max_size=n + 3, unique=True))
     u = draw(unimodular(n))
     order = draw(st.permutations(range(len(points))))
-    return n, points, u, move(u, [points[k] for k in order])
+    return n, points, u, order, move(u, [points[k] for k in order])
 
 
 @given(moved_supports())
 @settings(max_examples=250, deadline=None)
 def test_answers_do_not_depend_on_coordinates(case):
-    n, points, u, moved = case
+    n, points, u, order, moved = case
     assert abs(xm.determinant(xm.IntMatrix.from_rows(u))) == 1
     try:
         support = pt.Support(n, tuple(points))
@@ -102,11 +102,13 @@ def test_answers_do_not_depend_on_coordinates(case):
     # the Hodge table has n*D + 1 rows; a large D only costs time here
     assume(pt.build(support).denominator <= 1000)
     assert answers(n, moved) == answers(n, points)
-    # a facet a.x <= b of the support is the facet (a U^-1).x <= b of the moved one
+    # a facet a.x <= b of the support is the facet (a U^-1).x <= b of the
+    # moved one, and point k of the moved support is point order[k]
     adj, det = xm.adjugate(u)
     assert facets(n, moved) == {
-        (tuple(det * sum(a[i] * adj[i][j] for i in range(n)) for j in range(n)), b)
-        for a, b in facets(n, points)}
+        (tuple(det * sum(a[i] * adj[i][j] for i in range(n)) for j in range(n)), b):
+        tuple(sorted(order.index(i) for i in indices))
+        for (a, b), indices in facets(n, points).items()}
 
 
 FIXED_U = {2: [[2, 1], [1, 1]], 3: [[1, 1, 0], [0, 1, 1], [1, 1, 1]]}
